@@ -14,12 +14,10 @@ summation.
 
 from .numerics import (
     DEFAULT_PRECISION,
-    LaurentPoly,
-    RationalFn,
     RootOfUnity,
+    ScaledRoot,
     approx_equal,
     get_precision,
-    series_expand,
     set_precision,
 )
 from .padics import (
@@ -51,8 +49,6 @@ from .representations import (
     TwistData,
     dump_oracle,
     load_oracle,
-    make_principal_series,
-    make_steinberg,
     make_supercuspidal,
     principal_series_family,
     standard_family,

@@ -273,6 +273,11 @@ def perturb_epsilon(delta):
         _eps_perturbation[0] = old
 
 
+def epsilon_perturbation() -> mpf:
+    """The relative error :func:`perturb_epsilon` injects now (0 outside it)."""
+    return _eps_perturbation[0]
+
+
 @lru_cache(maxsize=None)
 def _eps_cached(mu: UnitCharacter, prec: int) -> mpc:
     a = mu.conductor
@@ -295,10 +300,6 @@ def epsilon_factor(mu: UnitCharacter) -> mpc:
     if _eps_perturbation[0]:
         value = value * (1 + _eps_perturbation[0])
     return value
-
-
-def epsilon_gl1(mu: UnitCharacter) -> mpc:
-    return epsilon_factor(mu)
 
 
 def critical_unit(chi: UnitCharacter) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -28,13 +27,7 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .characters import perturb_epsilon
-from .engine import (
-    Representative,
-    coefficient_table,
-    default_t_max,
-    sup_norm,
-    whittaker_value,
-)
+from .engine import Representative, sup_norm, whittaker_value
 from .numerics import set_precision
 from .representations import (
     Representation,
@@ -111,11 +104,9 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _scan_row(rep: Representation, t_max: int | None, cache_dir: str | None,
-              timings: bool, tolerance: float = 1e-9) -> dict:
+def _scan_row(rep: Representation, t_max: int | None, timings: bool,
+              tolerance: float = 1e-9) -> dict:
     start = time.monotonic()
-    if cache_dir:
-        _warm_tables_cached(rep, t_max, cache_dir)
     res = sup_norm(rep, t_max=t_max, tolerance=mpf(tolerance))
     elapsed = time.monotonic() - start
     kind = {"PrincipalSeries": "ps", "SteinbergTwist": "st"}.get(
@@ -158,25 +149,24 @@ def cmd_scan(args) -> int:
     if args.jobs > 1 and len(reps) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(r.spec_string(), args.tmax, args.cache_dir,
-                    args.timings, args.tolerance, mp.prec) for r in reps]
+        payload = [(r.spec_string(), args.tmax, args.timings, args.tolerance,
+                    mp.prec) for r in reps]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_row_from_spec, payload))
     else:
         for rep in reps:
-            rows.append(_scan_row(rep, args.tmax, args.cache_dir, args.timings,
-                                  args.tolerance))
+            rows.append(_scan_row(rep, args.tmax, args.timings, args.tolerance))
     text = _render_rows(rows, args.format)
     _write_output(args.out, text)
     return 0
 
 
 def _scan_row_from_spec(item) -> dict:
-    spec, tmax, cache_dir, timings, tolerance, prec = item
+    spec, tmax, timings, tolerance, prec = item
     set_precision(prec)
     kind, payload = spec.split(":", 1)
     rep = parse_rep(kind, payload)
-    return _scan_row(rep, tmax, cache_dir, timings, tolerance)
+    return _scan_row(rep, tmax, timings, tolerance)
 
 
 def _render_rows(rows, fmt: str) -> str:
@@ -215,63 +205,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# --------------------------------------------------------------------------
-# Coefficient-table cache: one file per (p, rep spec, k, character index).
-# Advisory only; a freshly computed column is compared on every load.
-
-
-def _cache_key(rep: Representation, k: int, mu_index: int, t_max: int) -> str:
-    raw = f"{rep.p}|{rep.spec_string()}|{k}|{mu_index}|{t_max}|{mp.prec}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:32]
-
-
-def _warm_tables_cached(rep: Representation, t_max: int | None,
-                        cache_dir: str) -> None:
-    from .characters import characters_mod
-
-    eff = t_max if t_max is not None else default_t_max(rep)
-    os.makedirs(cache_dir, exist_ok=True)
-    verified_one = False
-    for k in range(rep.n // 2 + 1):
-        chars = characters_mod(rep.p, k)
-        for i, mu in enumerate(chars):
-            path = os.path.join(cache_dir, _cache_key(rep, k, i, eff) + ".json")
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    stored = json.load(fh)
-                if not verified_one:
-                    fresh = coefficient_table(rep, k, mu, eff)
-                    if not _table_matches(stored, fresh):
-                        raise RuntimeError(
-                            f"cache spot-check failed for {path}; delete the cache"
-                        )
-                    verified_one = True
-            else:
-                tab = coefficient_table(rep, k, mu, eff)
-                payload = {
-                    "spec": rep.spec_string(),
-                    "k": k,
-                    "mu_index": i,
-                    "A": tab.A,
-                    "coeffs": [
-                        [t, mp.nstr(c.real, 40), mp.nstr(c.imag, 40)]
-                        for t, c in sorted(tab.coeffs.items())
-                    ],
-                }
-                _atomic_write(path, json.dumps(payload, sort_keys=True))
-
-
-def _table_matches(stored: dict, fresh) -> bool:
-    coeffs = {int(t): (mpf(re), mpf(im)) for t, re, im in stored["coeffs"]}
-    if set(coeffs) != set(fresh.coeffs):
-        return False
-    for t, (re, im) in coeffs.items():
-        c = fresh.coeffs[t]
-        if abs(c.real - re) > mpf("1e-25") or abs(c.imag - im) > mpf("1e-25"):
-            return False
-    return True
 
 
 def cmd_verify(args) -> int:
@@ -348,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap_scan.add_argument("--tolerance", type=float, default=1e-9,
                          help="numerical guard tolerance for certification")
     ap_scan.add_argument("--jobs", type=int, default=1)
-    ap_scan.add_argument("--cache-dir", default=None)
     ap_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     ap_scan.add_argument("--timings", action="store_true",
                          help="fill the wall_time column (breaks byte determinism)")

@@ -7,11 +7,12 @@ group modulo the center, the unipotent upper triangulars, and the level
 subgroup.  For each level ``k`` and unit character ``mu`` the function
 ``v -> W(g(t,k,v))`` has a Fourier coefficient ``c[t,k](mu)``, and the local
 functional equation pins the generating function of ``t -> c[t,k](mu)`` as an
-explicit rational function of X = q^-s.  The solver builds that rational
-function in closed form (the diagonal data is finite plus geometric, with the
-geometric part cancelling exactly against the matching dual Euler factor),
-divides by the epsilon factor and the twisted Euler polynomial, and reads the
-coefficients off one Taylor-Laurent expansion.
+explicit rational function of X = q^-s: a numerator of at most three terms
+over at most two linear Euler factors.  The solver builds that function in
+closed form (the diagonal data is finite plus geometric, with the geometric
+part cancelling exactly against the matching dual Euler factor) and reads
+every coefficient off the partial fractions, a finite head plus a geometric
+tail in the Satake parameters.
 
 Columns with ``k > n/2`` are never solved directly in normal operation; they
 reduce to the contragredient at ``n - k`` through the generalized
@@ -30,9 +31,10 @@ from .characters import (
     UnitCharacter,
     characters_mod,
     epsilon_factor,
+    epsilon_perturbation,
     zeta_value,
 )
-from .numerics import LaurentPoly, RationalFn, RootOfUnity, ONE, series_expand
+from .numerics import ONE, RootOfUnity, expand_geometric
 from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
 from .representations import Representation, trivial_character
 
@@ -108,131 +110,93 @@ class CoefficientTable:
         return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.coeffs)} coeffs)"
 
 
-def _product(polys) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for f in polys:
-        out = out * f
-    return out
-
-
 def coefficient_table(rep: Representation, k: int, mu: UnitCharacter,
                       t_max: int | None = None) -> CoefficientTable:
     """Solve the functional-equation identity for the column (k, mu).
 
     Columns with cond(mu) > k are identically zero and come back empty.
     """
-    n, p = rep.n, rep.p
-    if not 0 <= k <= n:
-        raise ValueError(f"level k={k} outside [0, {n}]")
+    if not 0 <= k <= rep.n:
+        raise ValueError(f"level k={k} outside [0, {rep.n}]")
     if t_max is None:
         t_max = default_t_max(rep)
+    return solve_column(rep, k, mu, rep.diagonal_ratio(), t_max)
+
+
+def solve_column(rep: Representation, k: int, mu: UnitCharacter, ratio,
+                 t_max: int) -> CoefficientTable:
+    """The column (k, mu) from the twist data of ``rep`` and the exact
+    diagonal ratio ``ratio`` (None for a diagonal supported at t = 0).
+
+    The generating function of ``d -> c[d - A, k](mu) q^(d/2)`` is
+    ``C X^e prod_j (1 - c_j X^-1) / prod_i (1 - a_i X)``: the ``c_j`` are the
+    dual Euler roots and the ``a_i`` the Satake parameters.  A dual factor
+    with ``c_j a_i = 1`` cancels its Euler factor to ``-c_j X^-1``, an exact
+    decision on :class:`ScaledRoot` values.
+    """
+    p = rep.p
     if mu.conductor > k:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, 0, p)
         return CoefficientTable(k, mu, 0, {}, zero_tail, t_max)
-
     td = rep.twist_data(mu)
     zeta1 = _zeta1(p)
-    sqrt_q = mp.sqrt(mpf(p))
-    omega_m1 = rep.omega.at_minus_one().embed()
-    dual_factors = [LaurentPoly({0: 1, -1: -g / p}) for g in td.l_den]
-    ratio = rep.diagonal_ratio()
-
-    if mu.is_trivial():
-        if ratio is None:
-            g0 = mpc(1) if k == 0 else (mpc(-zeta1 / p) if k == 1 else mpc(0))
-            num = LaurentPoly({0: g0}) * _product(dual_factors)
-        else:
-            rho = ratio / sqrt_q
-            num = LaurentPoly.zero()
-            if k >= 1:
-                head = LaurentPoly({-(k - 1): (-zeta1 / p) * rho ** (k - 1)})
-                num = num + head * _product(dual_factors)
-            matches = [i for i, g in enumerate(td.l_den)
-                       if abs(g / p - rho) < mpf("1e-25")]
-            if len(matches) != 1:
-                raise RuntimeError(
-                    "no dual Euler factor cancels the geometric diagonal tail"
-                )
-            rest = _product(f for i, f in enumerate(dual_factors) if i != matches[0])
-            num = num + LaurentPoly({-k: rho**k}) * rest
+    duals = [g.shift(2) for g in td.l_den]
+    if mu.is_trivial() and ratio is None:
+        coeff, e = mpc({0: 1, 1: -zeta1 / p}.get(k, 0)), 0
+    elif mu.is_trivial():
+        # The diagonal's geometric tail cancels the dual Euler factor with
+        # root rho; as 1 + zeta(1)/q = zeta(1), the finite head and that tail
+        # sum to -(zeta(1)/q) rho^(k-1) X^(1-k) (1 - q rho X^-1) for k >= 1.
+        rho = ratio.shift(1)
+        matches = [i for i, c in enumerate(duals) if c == rho]
+        if len(matches) != 1:
+            raise RuntimeError(
+                "no dual Euler factor cancels the geometric diagonal tail"
+            )
+        del duals[matches[0]]
+        coeff, e = mpc(1), 0
+        if k >= 1:
+            coeff, e = (-zeta1 / p) * (rho ** (k - 1)).embed(), 1 - k
+            duals.append(rho.shift(-2))
     else:
-        r = mu.conductor
-        a_star = k - r
-        gval = zeta1 * mp.power(p, -mpf(r) / 2) * epsilon_factor(mu)
-        if ratio is None:
-            if a_star == 0:
-                num = LaurentPoly({0: gval}) * _product(dual_factors)
-            else:
-                num = LaurentPoly.zero()
-        else:
-            rho = ratio / sqrt_q
-            num = LaurentPoly({-a_star: rho**a_star * gval}) * _product(dual_factors)
+        a_star = k - mu.conductor
+        coeff = zeta1 * mp.power(p, -mpf(mu.conductor) / 2) * epsilon_factor(mu)
+        e = -a_star
+        if ratio is not None:
+            coeff *= (ratio.shift(1) ** a_star).embed()
+        elif a_star != 0:
+            coeff = mpc(0)
 
-    num = num.scale(omega_m1 / td.eps)
-    if num.is_zero():
+    if coeff == 0:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, td.A, p)
         return CoefficientTable(k, mu, td.A, {}, zero_tail, t_max)
 
-    euler = _product(LaurentPoly({0: 1, 1: -a}) for a in td.l_num)
-    theta = series_expand(RationalFn(num, euler), t_max + td.A)
-    coeffs = {
-        d - td.A: c * mp.power(p, -mpf(d) / 2)
-        for d, c in theta.coeffs.items()
-    }
-    tail = _tail_certificate(theta, td, num.max_degree, t_max + td.A, p)
+    roots = list(td.l_num)
+    for c in list(duals):
+        if c.inverse() in roots:
+            roots.remove(c.inverse())
+            duals.remove(c)
+            coeff *= -c.embed()
+            e -= 1
+    # prod_j (1 - c_j X^-1), then the monomial, then the sign over epsilon.
+    dual_poly = [mpc(1)]
+    if duals:
+        dual_poly.append(-sum((c.embed() for c in duals), mpc(0)))
+    if len(duals) == 2:
+        dual_poly.append(duals[0].embed() * duals[1].embed())
+    scale = rep.omega.at_minus_one().embed() / td.eps
+    terms = {e - j: (coeff * x) * scale for j, x in enumerate(dual_poly)}
+    d_last = t_max + td.A
+    theta, parts = expand_geometric(terms, tuple(roots), d_last)
+    coeffs = {d - td.A: c * mp.power(p, -mpf(d) / 2) for d, c in theta.items()}
+    rho_max = max((a.modulus() for a in td.l_num), default=mpf(0))
+    a0 = a1 = mpf(0)
+    for b0, b1, a in parts:
+        amp = abs(a) ** d_last
+        a0 += (abs(b0) + abs(b1) * d_last) * amp
+        a1 += abs(b1) * amp
+    tail = TailBound(a0, a1, rho_max, d_last, td.A, p)
     return CoefficientTable(k, mu, td.A, coeffs, tail, t_max)
-
-
-def _tail_certificate(theta: LaurentPoly, td, num_max_deg: int,
-                      d_last: int, p: int) -> TailBound:
-    """Bound trailing coefficients from the Euler-polynomial recurrence.
-
-    Beyond the numerator degree, theta satisfies the linear recurrence whose
-    characteristic roots are the Satake parameters (all of modulus <= 1), so
-    its closed form is solvable from the trailing computed values.
-    """
-    roots = td.l_num
-    if not roots:
-        return TailBound(mpf(0), mpf(0), mpf(0), max(num_max_deg, d_last), td.A, p)
-    t1 = theta[d_last]
-    if len(roots) == 1:
-        a = roots[0]
-        _check_recurrence(theta, (a,), num_max_deg, d_last)
-        return TailBound(abs(t1), mpf(0), abs(a), d_last, td.A, p)
-    a1_, a2_ = roots
-    t0 = theta[d_last - 1]
-    rho = max(abs(a1_), abs(a2_))
-    _check_recurrence(theta, (a1_, a2_), num_max_deg, d_last)
-    if abs(a1_ - a2_) < mpf("1e-25"):
-        # theta_d = (b0 + b1 d) a^d; solve from the last two values.
-        a = a1_
-        y0 = t0 / a ** (d_last - 1)
-        y1 = t1 / a**d_last
-        b1 = y1 - y0
-        b0 = y1 - b1 * d_last
-        amp0 = (abs(b0) + abs(b1) * abs(d_last)) * rho**d_last
-        return TailBound(amp0, abs(b1) * rho**d_last, rho, d_last, td.A, p)
-    det = a1_ ** (d_last - 1) * a2_**d_last - a2_ ** (d_last - 1) * a1_**d_last
-    b1 = (t0 * a2_**d_last - t1 * a2_ ** (d_last - 1)) / det
-    b2 = (t1 * a1_ ** (d_last - 1) - t0 * a1_**d_last) / det
-    amp0 = abs(b1) * abs(a1_) ** d_last + abs(b2) * abs(a2_) ** d_last
-    return TailBound(amp0, mpf(0), rho, d_last, td.A, p)
-
-
-def _check_recurrence(theta: LaurentPoly, roots, num_max_deg: int, d_last: int):
-    """The recurrence must reproduce the last computed coefficient."""
-    order = len(roots)
-    if d_last - order <= num_max_deg:
-        return
-    if order == 1:
-        pred = roots[0] * theta[d_last - 1]
-    else:
-        s = roots[0] + roots[1]
-        q = roots[0] * roots[1]
-        pred = s * theta[d_last - 1] - q * theta[d_last - 2]
-    scale = max(abs(theta[d_last]), abs(pred), mpf(1))
-    if abs(pred - theta[d_last]) > scale * mpf("1e-25"):
-        raise RuntimeError("trailing coefficients do not satisfy the recurrence")
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +204,12 @@ def contragredient_of(rep: Representation) -> Representation:
     return rep.contragredient()
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a long scan does not keep every table it ever solved; the
+# largest working set in use, ~400 descriptors of conductor <= 4 queried at
+# random points, holds about 1,200 levels.
+@lru_cache(maxsize=2048)
 def _tables_for_level_at(rep: Representation, k: int, t_max: int,
-                         prec: int) -> tuple:
+                         prec: int, eps_perturbation) -> tuple:
     return tuple(
         coefficient_table(rep, k, mu, t_max) for mu in characters_mod(rep.p, k)
     )
@@ -250,8 +217,8 @@ def _tables_for_level_at(rep: Representation, k: int, t_max: int,
 
 def tables_for_level(rep: Representation, k: int, t_max: int) -> tuple:
     """Coefficient tables for every unit character of level <= k, cached per
-    working precision."""
-    return _tables_for_level_at(rep, k, t_max, mp.prec)
+    working precision and epsilon perturbation."""
+    return _tables_for_level_at(rep, k, t_max, mp.prec, epsilon_perturbation())
 
 
 @lru_cache(maxsize=None)
@@ -356,6 +323,11 @@ def lambda_sq_sum(rep: Representation, k: int, t_max: int | None = None):
     return total, tail
 
 
+# sup_norm treats values within this many units in the last place of the
+# largest one as tied with it.
+TIE_ULPS = 2**16
+
+
 @dataclass(frozen=True)
 class SupNormResult:
     h: mpf
@@ -395,6 +367,8 @@ def sup_norm(rep: Representation, t_max: int | None = None,
     if t_max is None:
         t_max = default_t_max(rep)
     best = mpf(-1)
+    # Tied values: the witness is the first of them in (k, t, dlog v) order.
+    tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
     cands: list[tuple] = []
     tail_sup = mpf(0)
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
@@ -424,10 +398,10 @@ def sup_norm(rep: Representation, t_max: int | None = None,
                 for value, v in entries:
                     if value > best:
                         best = value
-                    if value > best - mpf("1e-22"):
+                    if value >= best * tie:
                         cands.append((value, is_dual, t, k, v))
             tail_sup = max(tail_sup, _tail_sup_level(tables, t_max))
-    cands = [c for c in cands if c[0] >= best - mpf("1e-22")]
+    cands = [c for c in cands if c[0] >= best * tie]
     # Map candidates to coordinates of the primary newvector and tie-break.
     mapped = []
     for value, is_dual, t, k, v in cands:

@@ -1,14 +1,16 @@
 """Scalar arithmetic substrate.
 
-Three layers, from exact to numeric:
+From exact to numeric:
 
 * :class:`RootOfUnity` -- an exact phase ``e^{2 pi i a/N}`` kept as a reduced
   pair of integers, so that products of character values never drift.
 * mpmath ``mpf``/``mpc`` scalars at a configurable binary precision
   (128 bits by default).  Sums of exact phases are embedded once, at the end.
-* :class:`LaurentPoly` / :class:`RationalFn` -- finite Laurent polynomials and
-  their quotients in one indeterminate X, with Taylor-Laurent expansion around
-  X = 0 by long division.
+* :class:`ScaledRoot` -- an exact ``root * q^(-s/2)``, the form of every
+  Satake parameter and diagonal ratio, so that equalities between them are
+  decided exactly.
+* :func:`expand_geometric` -- the closed-form expansion around X = 0 of a
+  numerator of a few terms over at most two linear Euler factors.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -18,15 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from mpmath import mp, mpc, mpf
 
 DEFAULT_PRECISION = 128
 
-# Absolute tolerance for internal identity checks (exact summation layer)
-# and for user-facing comparisons (series-mediated layer).
-TOL_IDENTITY = mpf("1e-20")
+# Absolute tolerance for user-facing comparisons.
 TOL_USER = mpf("1e-9")
 
 if mp.prec < DEFAULT_PRECISION:
@@ -39,6 +39,7 @@ def set_precision(bits: int) -> None:
         raise ValueError(f"precision must be at least 53 bits, got {bits}")
     mp.prec = bits
     _embed_cached.cache_clear()
+    _scaled_embed_cached.cache_clear()
     unity_table.cache_clear()
 
 
@@ -114,166 +115,92 @@ def embed(r: RootOfUnity) -> mpc:
     return r.embed()
 
 
-def phase_sum(counts: Mapping[RootOfUnity, int]) -> mpc:
-    """Sum ``count * root`` with one embedding per distinct exact phase."""
-    total = mpc(0)
-    for root, count in counts.items():
-        total += count * root.embed()
-    return total
+@lru_cache(maxsize=4096)
+def _scaled_embed_cached(num: int, order: int, q: int, s: int, prec: int) -> mpc:
+    return _embed_cached(num, order, prec) * mp.power(q, -mpf(s) / 2)
 
 
-class LaurentPoly:
-    """Finite Laurent polynomial with mpc coefficients, exact zeros dropped."""
+@dataclass(frozen=True)
+class ScaledRoot:
+    """Exact number ``root * q^(-s/2)``: a root of unity times a half-integral
+    power of the prime ``q``."""
 
-    __slots__ = ("coeffs",)
+    root: RootOfUnity
+    q: int
+    s: int = 0
 
-    def __init__(self, coeffs: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: dict[int, mpc] = {}
-        for deg, c in items:
-            c = mpc(c)
-            if c != 0:
-                store[deg] = store.get(deg, mpc(0)) + c
-                if store[deg] == 0:
-                    del store[deg]
-        self.coeffs = store
+    def __pow__(self, e: int) -> "ScaledRoot":
+        return ScaledRoot(self.root**e, self.q, self.s * e)
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
+    def inverse(self) -> "ScaledRoot":
+        return ScaledRoot(self.root.inverse(), self.q, -self.s)
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+    def shift(self, s: int) -> "ScaledRoot":
+        """This number times ``q^(-s/2)``."""
+        return ScaledRoot(self.root, self.q, self.s + s)
 
-    @classmethod
-    def monomial(cls, coeff, degree: int) -> "LaurentPoly":
-        return cls({degree: coeff})
+    def modulus(self) -> mpf:
+        return mp.power(self.q, -mpf(self.s) / 2)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def min_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
-    def __getitem__(self, degree: int) -> mpc:
-        return self.coeffs.get(degree, mpc(0))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, mpc(0)) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, mpc] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                out[d] = out.get(d, mpc(0)) + c1 * c2
-        return LaurentPoly(out)
-
-    def scale(self, s) -> "LaurentPoly":
-        s = mpc(s)
-        return LaurentPoly({d: c * s for d, c in self.coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({d + k: c for d, c in self.coeffs.items()})
-
-    def truncate(self, max_degree: int) -> "LaurentPoly":
-        return LaurentPoly({d: c for d, c in self.coeffs.items() if d <= max_degree})
-
-    def __call__(self, x) -> mpc:
-        x = mpc(x)
-        return sum((c * x**d for d, c in self.coeffs.items()), mpc(0))
-
-    def max_abs_difference(self, other: "LaurentPoly") -> mpf:
-        degrees = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self[d] - other[d]) for d in degrees), default=mpf(0))
-
-    def __repr__(self):
-        terms = " + ".join(f"({c})*X^{d}" for d, c in sorted(self.coeffs.items()))
-        return f"LaurentPoly<{terms or '0'}>"
+    def embed(self) -> mpc:
+        return _scaled_embed_cached(self.root.num, self.root.order, self.q,
+                                    self.s, mp.prec)
 
 
-def binomial(alpha, degree: int = 1) -> LaurentPoly:
-    """The Euler-type factor ``1 - alpha * X^degree``."""
-    return LaurentPoly({0: 1, degree: -mpc(alpha)})
+def expand_geometric(terms: Mapping[int, mpc], roots: tuple, d_hi: int):
+    """Expand ``sum_j n_j X^(e_j) / prod_i (1 - a_i X)`` around X = 0.
 
+    ``terms`` maps each degree ``e_j`` to ``n_j``; ``roots`` holds at most two
+    :class:`ScaledRoot` values ``a_i``, compared exactly.  With ``h_m`` the
+    coefficients of ``1 / prod_i (1 - a_i X)`` -- 0 for m < 0, 1 with no
+    root, ``a^m`` with one, ``(a1^(m+1) - a2^(m+1)) / (a1 - a2)`` with two
+    distinct roots and ``(m+1) a^m`` with a double root -- the coefficients
+    are ``theta_d = sum_j n_j h_(d - e_j)``.
 
-class RationalFn:
-    """Quotient of Laurent polynomials, normalized so the denominator's
-    lowest-degree term sits at degree 0 with coefficient 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
-        if den is None:
-            den = LaurentPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("denominator is identically zero")
-        d0 = den.min_degree
-        c0 = den[d0]
-        self.num = num.shift(-d0).scale(1 / c0)
-        self.den = den.shift(-d0).scale(1 / c0)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __truediv__(self, other: "RationalFn") -> "RationalFn":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def scale(self, s) -> "RationalFn":
-        return RationalFn(self.num.scale(s), self.den)
-
-    def series(self, t_max: int) -> LaurentPoly:
-        return series_expand(self, t_max)
-
-    def __repr__(self):
-        return f"RationalFn({self.num!r} / {self.den!r})"
-
-
-def series_expand(f: RationalFn, t_max: int) -> LaurentPoly:
-    """Taylor-Laurent expansion of ``f`` around X = 0 through degree ``t_max``.
-
-    The normalized denominator has constant term 1, so the principal part is
-    exactly the numerator's negative range and the expansion is plain long
-    division; coefficients agree with ``f`` exactly through degree ``t_max``.
+    Returns ``(theta, parts)``: ``theta`` maps each degree ``min(e_j) <= d <=
+    d_hi`` to its coefficient, exact zeros left out; ``parts`` lists the
+    partial fractions ``(b0, b1, a)`` with ``theta_d = sum (b0 + b1 d) a^d``
+    for every ``d > max(e_j)``.
     """
-    if f.num.is_zero():
-        return LaurentPoly.zero()
-    den = f.den
-    if den[0] == 0:
-        raise ValueError("malformed rational function: constant term vanished")
-    dmin = f.num.min_degree
-    den_tail = [(j, c) for j, c in den.coeffs.items() if j > 0]
-    out: dict[int, mpc] = {}
-    for d in range(dmin, t_max + 1):
-        acc = f.num[d]
-        for j, c in den_tail:
-            if d - j >= dmin:
-                acc -= c * out.get(d - j, mpc(0))
-        out[d] = acc
-    return LaurentPoly(out)
+    terms = [(e, mpc(n)) for e, n in sorted(terms.items()) if n != 0]
+    if not roots:
+        return {e: n for e, n in terms if e <= d_hi}, []
+    if not terms:
+        return {}, []
+    a = [r.embed() for r in roots]
+    double = len(roots) == 2 and roots[0] == roots[1]
+    h = []
+    pw = [mpc(1)] * len(roots)
+    if len(roots) == 2 and not double:
+        inv = 1 / (a[0] - a[1])
+        pw = list(a)
+    for m in range(d_hi - terms[0][0] + 1):
+        if len(roots) == 1:
+            h.append(pw[0])
+        elif double:
+            h.append((m + 1) * pw[0])
+        else:
+            h.append((pw[0] - pw[1]) * inv)
+        pw = [x * y for x, y in zip(pw, a)]
+    theta = {}
+    for d in range(terms[0][0], d_hi + 1):
+        c = mpc(0)
+        for e, n in terms:
+            if d < e:
+                break
+            c += n * h[d - e]
+        if c != 0:
+            theta[d] = c
+
+    def at(x):  # sum_j n_j x^(-e_j)
+        return sum((n * x ** (-e) for e, n in terms), mpc(0))
+
+    if len(roots) == 1:
+        parts = [(at(a[0]), mpc(0), a[0])]
+    elif double:
+        b0 = sum((n * (1 - e) * a[0] ** (-e) for e, n in terms), mpc(0))
+        parts = [(b0, at(a[0]), a[0])]
+    else:
+        parts = [(a[0] * inv * at(a[0]), mpc(0), a[0]),
+                 (-a[1] * inv * at(a[1]), mpc(0), a[1])]
+    return theta, parts

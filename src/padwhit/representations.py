@@ -19,12 +19,12 @@ solver, and its contragredient.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, MINUS_ONE, approx_equal
+from .numerics import ONE, MINUS_ONE, ScaledRoot, approx_equal
 from .characters import (
     ExtendedCharacter,
     UnitCharacter,
@@ -41,7 +41,7 @@ class TwistData:
 
     ``l_num`` holds the Satake parameters of the twisted representation's own
     L-factor; ``l_den`` those of the dual twist entering at 1 - s.  Each list
-    has at most two entries.
+    has at most two entries, exact :class:`ScaledRoot` values.
     """
 
     A: int
@@ -89,17 +89,13 @@ class Representation:
         variant invariant under the opposite congruence subgroup."""
         raise NotImplementedError
 
-    def diagonal_ratio(self, conjugate: bool = False) -> mpc | None:
+    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
         """None if the diagonal is supported at t = 0 only; otherwise the
-        geometric ratio rho with value(t) = rho^t for t >= 0."""
+        exact geometric ratio rho with value(t) = rho^t for t >= 0."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
         raise NotImplementedError
-
-
-def _sqrt_q(p: int) -> mpf:
-    return mp.sqrt(mpf(p))
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ class PrincipalSeries(Representation):
             A += tw.conductor
             eps *= tw.epsilon()
             if tw.conductor == 0:
-                l_num.append(tw.pi_value.embed())
-                l_den.append(tw.pi_value.inverse().embed())
+                l_num.append(ScaledRoot(tw.pi_value, self.p))
+                l_den.append(ScaledRoot(tw.pi_value.inverse(), self.p))
         return TwistData(A, eps, tuple(l_num), tuple(l_den))
 
     def contragredient(self) -> "PrincipalSeries":
@@ -169,11 +165,11 @@ class PrincipalSeries(Representation):
             return (self.chi2.pi_value**t).embed() * qth
         return ((self.chi1.pi_value**t) * self.chi1.unit_part.eval_unit(v)).embed() * qth
 
-    def diagonal_ratio(self, conjugate: bool = False) -> mpc | None:
+    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
         if self.chi2.conductor > 0:
             return None
         piv = self.chi2.pi_value if conjugate else self.chi1.pi_value
-        return piv.embed() / _sqrt_q(self.p)
+        return ScaledRoot(piv, self.p, 1)
 
     def spec_string(self) -> str:
         return f"ps:{format_char(self.chi1)},{format_char(self.chi2)}"
@@ -211,8 +207,8 @@ class SteinbergTwist(Representation):
             # Special representation with unramified twist sigma:
             # conductor exponent 1, epsilon -sigma(p), L-roots sigma(p) q^(-1/2).
             z = tw.pi_value
-            satake_num = z.embed() / _sqrt_q(self.p)
-            satake_den = z.inverse().embed() / _sqrt_q(self.p)
+            satake_num = ScaledRoot(z, self.p, 1)
+            satake_den = ScaledRoot(z.inverse(), self.p, 1)
             return TwistData(1, -z.embed(), (satake_num,), (satake_den,))
         e = tw.epsilon()
         return TwistData(2 * tw.conductor, e * e, (), ())
@@ -229,10 +225,10 @@ class SteinbergTwist(Representation):
             return mpc(0)
         return (self.xi.pi_value**t).embed() * mp.power(self.p, -t)
 
-    def diagonal_ratio(self, conjugate: bool = False) -> mpc | None:
+    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
         if self.xi.conductor > 0:
             return None
-        return self.xi.pi_value.embed() / self.p
+        return ScaledRoot(self.xi.pi_value, self.p, 2)
 
     def spec_string(self) -> str:
         return f"st:{format_char(self.xi)}"
@@ -308,7 +304,7 @@ class SupercuspidalOracle(Representation):
             return mpc(0)
         return mpc(1) if conjugate else self.omega_.eval_unit(v).embed()
 
-    def diagonal_ratio(self, conjugate: bool = False) -> mpc | None:
+    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
         return None
 
     def spec_string(self) -> str:
@@ -323,14 +319,6 @@ def _twist_sort_key(item):
 def _sorted_twists(items) -> tuple:
     return tuple(sorted(((mu, int(A), mpc(eps)) for mu, A, eps in items),
                         key=_twist_sort_key))
-
-
-def make_principal_series(chi1: ExtendedCharacter, chi2: ExtendedCharacter) -> PrincipalSeries:
-    return PrincipalSeries(chi1, chi2)
-
-
-def make_steinberg(xi: ExtendedCharacter) -> SteinbergTwist:
-    return SteinbergTwist(xi)
 
 
 def make_supercuspidal(p: int, n: int, omega: UnitCharacter, twists) -> SupercuspidalOracle:
@@ -376,11 +364,6 @@ def dump_oracle(rep: SupercuspidalOracle) -> dict:
             for mu, A, eps in rep.twists
         ],
     }
-
-
-@lru_cache(maxsize=None)
-def _ramified_characters(p: int, cond: int) -> tuple[UnitCharacter, ...]:
-    return tuple(c for c in characters_mod(p, cond) if c.conductor == cond)
 
 
 def principal_series_family(p: int, a1_max: int, a2_max: int):
@@ -447,7 +430,9 @@ def standard_family(p: int, nmax: int, kinds: str = "all"):
 def parse_rep(kind: str, payload: str, p: int | None = None, oracle=None) -> Representation:
     """Build a descriptor from CLI-style arguments."""
     if kind == "ps":
-        parts = payload.split(",")
+        # A p = 2 character carries two exponents, "2^3:1,1"; split only at
+        # commas that start a new "p^a" spec.
+        parts = re.split(r",(?=\d+\^)", payload)
         if len(parts) != 2:
             raise ValueError("--ps expects two comma-separated character specs")
         chi1 = _parse_extended(parts[0], p)

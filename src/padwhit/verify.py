@@ -37,6 +37,7 @@ from .engine import (
     default_t_max,
     lambda_sq_sum,
     lower_bound_witness,
+    solve_column,
     sup_norm,
     supercuspidal_closed_value,
     tables_for_level,
@@ -366,55 +367,8 @@ def _conjugate_coefficient_table(rep: Representation, k: int,
                                  mu: UnitCharacter, t_max: int) -> dict:
     """Solve the dual functional-equation identity directly: twist data of
     the contragredient, with the conjugate diagonal branch of ``rep``."""
-    from .engine import _product, _zeta1
-    from .numerics import LaurentPoly, RationalFn, series_expand
-
-    if mu.conductor > k:
-        return {}
-    n, p = rep.n, rep.p
-    dual = contragredient_of(rep)
-    td = dual.twist_data(mu)
-    zeta1 = _zeta1(p)
-    sqrt_q = mp.sqrt(mpf(p))
-    omega_m1 = rep.omega.at_minus_one().embed()
-    dual_factors = [LaurentPoly({0: 1, -1: -g / p}) for g in td.l_den]
-    ratio = rep.diagonal_ratio(conjugate=True)
-    if mu.is_trivial():
-        if ratio is None:
-            g0 = mpc(1) if k == 0 else (mpc(-zeta1 / p) if k == 1 else mpc(0))
-            num = LaurentPoly({0: g0}) * _product(dual_factors)
-        else:
-            rho = ratio / sqrt_q
-            num = LaurentPoly.zero()
-            if k >= 1:
-                head = LaurentPoly({-(k - 1): (-zeta1 / p) * rho ** (k - 1)})
-                num = num + head * _product(dual_factors)
-            matches = [i for i, g in enumerate(td.l_den)
-                       if abs(g / p - rho) < mpf("1e-25")]
-            if len(matches) != 1:
-                raise RuntimeError("dual solve: no cancelling Euler factor")
-            rest = _product(f for i, f in enumerate(dual_factors)
-                            if i != matches[0])
-            num = num + LaurentPoly({-k: rho**k}) * rest
-    else:
-        r = mu.conductor
-        a_star = k - r
-        gval = zeta1 * mp.power(p, -mpf(r) / 2) * epsilon_factor(mu)
-        if ratio is None:
-            num = (LaurentPoly({0: gval}) * _product(dual_factors)
-                   if a_star == 0 else LaurentPoly.zero())
-        else:
-            rho = ratio / sqrt_q
-            num = LaurentPoly({-a_star: rho**a_star * gval}) * _product(dual_factors)
-    num = num.scale(omega_m1 / td.eps)
-    if num.is_zero():
-        return {}
-    euler = _product(LaurentPoly({0: 1, 1: -a}) for a in td.l_num)
-    theta = series_expand(RationalFn(num, euler), t_max + td.A)
-    return {
-        d - td.A: c * mp.power(p, -mpf(d) / 2)
-        for d, c in theta.coeffs.items()
-    }
+    return solve_column(contragredient_of(rep), k, mu,
+                        rep.diagonal_ratio(conjugate=True), t_max).coeffs
 
 
 def check_diagonal_and_reduction(rep: Representation, seed: int = 29) -> CheckReport:

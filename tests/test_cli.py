@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 from mpmath import mp, mpf
 
 from padwhit.cli import main
 from padwhit.representations import dump_oracle
 from padwhit.verify import synthetic_oracle
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -141,35 +144,6 @@ def test_scan_json_schema(tmp_path, capsys):
     assert doc["rows"][0]["spec"].startswith(("ps:", "st:"))
 
 
-def test_scan_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    code, _, _ = run_cli(
-        capsys, "scan", "--p", "3", "--nmax", "1", "--cache-dir", str(cache),
-        "--out", str(out1),
-    )
-    assert code == 0
-    files = list(cache.glob("*.json"))
-    assert files
-    code, _, _ = run_cli(
-        capsys, "scan", "--p", "3", "--nmax", "1", "--cache-dir", str(cache),
-        "--out", str(out2),
-    )
-    assert code == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    # Corrupt one cached table: the spot check must catch it.
-    target = sorted(files)[0]
-    doc = json.loads(target.read_text())
-    if doc["coeffs"]:
-        doc["coeffs"][0][1] = "999.0"
-        target.write_text(json.dumps(doc, sort_keys=True))
-        code, _, err = run_cli(
-            capsys, "scan", "--p", "3", "--nmax", "1", "--cache-dir", str(cache),
-            "--out", str(out2),
-        )
-        assert code != 0
-
-
 def test_scan_jobs_parallel_matches(tmp_path, capsys):
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     code, _, _ = run_cli(capsys, "scan", "--p", "3", "--nmax", "1",
@@ -179,6 +153,30 @@ def test_scan_jobs_parallel_matches(tmp_path, capsys):
                          "--jobs", "2", "--out", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_jobs_two_exponent_characters(tmp_path, capsys):
+    # p = 2 characters of level >= 3 carry two exponents ("2^3:1,1@0/1"),
+    # so the workers must split "ps:CHAR,CHAR" at the second spec only.
+    out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    code, _, _ = run_cli(capsys, "scan", "--p", "2", "--nmax", "3",
+                         "--family", "ps", "--out", str(out1))
+    assert code == 0
+    assert "2^3:1,1@0/1" in out1.read_text()
+    code, _, _ = run_cli(capsys, "scan", "--p", "2", "--nmax", "3",
+                         "--family", "ps", "--jobs", "2", "--out", str(out2))
+    assert code == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_default_bytes_golden(tmp_path, capsys):
+    # tests/golden/scan_p235_n3.csv is the default output of
+    # "padwhit scan --p 2,3,5 --nmax 3"; any change to it must be deliberate.
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "scan", "--p", "2,3,5", "--nmax", "3",
+                         "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == GOLDEN.joinpath("scan_p235_n3.csv").read_bytes()
 
 
 def test_verify_cli_pass_and_canary(tmp_path, capsys):

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from padwhit import engine
 from padwhit.characters import (
     ExtendedCharacter,
     characters_mod,
     make_character,
+    perturb_epsilon,
 )
 from padwhit.engine import (
     Mat2,
@@ -29,11 +31,18 @@ from padwhit.engine import (
     theorem_refs,
     whittaker_value,
 )
-from padwhit.numerics import ONE, MINUS_ONE, RootOfUnity
+from padwhit.numerics import (
+    ONE,
+    MINUS_ONE,
+    RootOfUnity,
+    get_precision,
+    set_precision,
+)
 from padwhit.padics import PAdicApprox, psi_eval, unit_group
 from padwhit.representations import (
     PrincipalSeries,
     SteinbergTwist,
+    parse_rep,
     standard_family,
     trivial_character,
 )
@@ -321,6 +330,52 @@ def test_sup_norm_sqrt2_bound_family():
         res = sup_norm(rep)
         assert res.h <= mp.sqrt(2) * mp.power(3, mpf(rep.n // 2) / 2) + mpf("1e-12")
         assert res.h >= 1 - mpf("1e-12")
+
+
+# The first two crashed at 53-64 bits while a float tolerance chose the
+# cancelling dual Euler factor and collected tied candidates.
+SWEEP_SPECS = (
+    "ps:3^2:1@0/1,3^0:0@0/1",
+    "st:5^0:0@0/1",
+    "ps:3^1:1@0/1,3^1:1@0/1",  # double Satake root at k = 1
+    "ps:3^2:1@0/1,3^1:1@0/1",
+    "st:3^1:1@0/1",
+    "ps:2^3:1,1@0/1,2^0:0@0/1",
+)
+
+
+def test_sup_norm_precision_sweep():
+    reps = [parse_rep(*spec.split(":", 1)) for spec in SWEEP_SPECS]
+    old = get_precision()
+    try:
+        set_precision(128)
+        ref = [sup_norm(rep) for rep in reps]
+        for bits in (53, 64, 96, 128, 256):
+            set_precision(bits)
+            for rep, want in zip(reps, ref):
+                got = sup_norm(rep)
+                assert got.certified, (bits, rep.spec_string())
+                assert got.witness == want.witness, (bits, rep.spec_string())
+                bound = mpf(2) ** (12 - min(bits, 128)) * want.h
+                assert abs(got.h - want.h) <= bound, (bits, rep.spec_string())
+    finally:
+        set_precision(old)
+
+
+def test_canary_leaves_no_trace_in_table_cache():
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
+    r = Representative(-3, 1, 1)
+    engine._tables_for_level_at.cache_clear()
+    with perturb_epsilon(1e-3):
+        perturbed = whittaker_value(rep, r)  # solved cold, under the canary
+    after = whittaker_value(rep, r)
+    engine._tables_for_level_at.cache_clear()
+    cold = whittaker_value(rep, r)
+    assert after == cold
+    assert abs(perturbed - cold) > mpf("1e-4")
+    with perturb_epsilon(1e-3):
+        warmed = whittaker_value(rep, r)  # the unperturbed tables are warm
+    assert warmed == perturbed
 
 
 def test_sup_norm_deterministic_witness():

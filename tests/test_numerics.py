@@ -5,12 +5,11 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpc, mpf
 
 from padwhit.numerics import (
-    LaurentPoly,
-    RationalFn,
     RootOfUnity,
+    ScaledRoot,
     approx_equal,
+    expand_geometric,
     get_precision,
-    series_expand,
     set_precision,
 )
 
@@ -68,24 +67,8 @@ def test_inverse_and_pow():
     assert r**5 == RootOfUnity(25, 12)
 
 
-def _geom(alpha):
-    return RationalFn(LaurentPoly.one(), LaurentPoly({0: 1, 1: -alpha}))
-
-
-def test_series_expand_geometric():
-    s = series_expand(_geom(1), 3)
-    assert s.coeffs.keys() == {0, 1, 2, 3}
-    for d in range(4):
-        assert approx_equal(s[d], 1, mpf("1e-30"))
-
-
-def test_series_expand_identity():
-    one = LaurentPoly({0: 1, 1: -1})
-    f = RationalFn(one, one)
-    s = series_expand(f, 5)
-    assert approx_equal(s[0], 1, mpf("1e-30"))
-    for d in range(1, 6):
-        assert abs(s[d]) < mpf("1e-30")
+def _root(num, order, q=3, s=0):
+    return ScaledRoot(RootOfUnity(num, order), q, s)
 
 
 def _long_division_oracle(num_coeffs, den_coeffs, upto):
@@ -100,63 +83,118 @@ def _long_division_oracle(num_coeffs, den_coeffs, upto):
     return out
 
 
+def _euler(roots):
+    """Coefficient list of prod (1 - a X)."""
+    den = [mpc(1)]
+    for r in roots:
+        a = r.embed()
+        den = [c - a * prev for c, prev in zip(den + [mpc(0)], [mpc(0)] + den)]
+    return den
+
+
+def _check_against_oracle(terms, roots, upto):
+    """expand_geometric against long division, and its partial fractions
+    against the expansion beyond the top numerator degree."""
+    lo, hi = min(terms), max(terms)
+    theta, parts = expand_geometric(terms, roots, upto)
+    num = [mpc(terms.get(d, 0)) for d in range(lo, hi + 1)]
+    oracle = _long_division_oracle(num, _euler(roots), upto - lo)
+    for d in range(lo, upto + 1):
+        assert abs(theta.get(d, mpc(0)) - oracle[d - lo]) < mpf("1e-30"), d
+    for d in range(hi + 1, upto + 1):
+        fit = sum(((b0 + b1 * d) * a**d for b0, b1, a in parts), mpc(0))
+        assert abs(fit - theta.get(d, mpc(0))) < mpf("1e-30"), d
+    return theta, parts
+
+
+def test_expand_geometric_no_root():
+    theta, parts = _check_against_oracle({-1: 2, 1: mpc(0, 1)}, (), 4)
+    assert theta == {-1: 2, 1: mpc(0, 1)}
+    assert parts == []
+
+
+def test_series_expand_geometric():
+    theta, _ = _check_against_oracle({0: 1}, (_root(0, 1),), 3)
+    assert theta.keys() == {0, 1, 2, 3}
+    for d in range(4):
+        assert approx_equal(theta[d], 1, mpf("1e-30"))
+
+
+def test_series_expand_identity():
+    # (1 - X) / (1 - X) = 1: every coefficient past degree 0 cancels exactly.
+    theta, parts = expand_geometric({0: 1, 1: -1}, (_root(0, 1),), 5)
+    assert theta == {0: 1}
+    assert parts[0][0] == 0
+
+
+def test_expand_geometric_distinct_roots_against_long_division():
+    rng = random.Random(4)
+    for _ in range(25):
+        r1 = _root(rng.randrange(12), 12, 5, rng.randrange(3))
+        r2 = _root(rng.randrange(12), 12, 5, rng.randrange(3))
+        if r1 == r2:
+            continue
+        terms = {e: mpc(rng.randint(1, 3), rng.randint(-2, 2))
+                 for e in rng.sample(range(-3, 1), rng.randint(1, 3))}
+        _check_against_oracle(terms, (r1, r2), 9)
+
+
 def test_series_expand_double_pole_against_long_division():
     # 1/(1-X)^2 expands as 1 + 2X + 3X^2 + ...
-    den = LaurentPoly({0: 1, 1: -1}) * LaurentPoly({0: 1, 1: -1})
-    f = RationalFn(LaurentPoly.one(), den)
-    s = series_expand(f, 6)
-    expected = _long_division_oracle([mpc(1)], [mpc(1), mpc(-2), mpc(1)], 6)
-    for d in range(7):
-        assert approx_equal(s[d], expected[d], mpf("1e-30"))
-    assert approx_equal(s[1], 2, mpf("1e-30"))
-    assert approx_equal(s[2], 3, mpf("1e-30"))
+    one = _root(0, 1)
+    theta, parts = _check_against_oracle({0: 1}, (one, one), 6)
+    assert approx_equal(theta[1], 2, mpf("1e-30"))
+    assert approx_equal(theta[2], 3, mpf("1e-30"))
+    (b0, b1, a), = parts
+    assert approx_equal(b0, 1, mpf("1e-30")) and approx_equal(b1, 1, mpf("1e-30"))
+    # A double root off the unit circle with a three-term numerator.
+    r = _root(1, 8, 7, 1)
+    _check_against_oracle({-2: 1, -1: mpc(0, -2), 0: 3}, (r, r), 12)
 
 
 def test_series_expand_principal_part_exact():
-    num = LaurentPoly({-2: 3, 0: 1})
-    den = LaurentPoly({0: 1, 1: mpc(0, -1)})
-    s = series_expand(RationalFn(num, den), 4)
-    oracle = _long_division_oracle(
-        [mpc(3), mpc(0), mpc(1)], [mpc(1), mpc(0, -1)], 6
-    )
-    for d in range(-2, 5):
-        assert approx_equal(s[d], oracle[d + 2], mpf("1e-30"))
+    terms = {-2: 3, 0: 1}
+    theta, _ = _check_against_oracle(terms, (_root(1, 4),), 4)
+    assert approx_equal(theta[-2], 3, mpf("1e-30"))
+    assert approx_equal(theta[-1], mpc(0, 3), mpf("1e-30"))
+    assert min(theta) == -2
 
 
 def test_series_product_multiplicativity():
     rng = random.Random(4)
     for _ in range(25):
-        roots1 = [mp.expjpi(mpf(2 * rng.randrange(12)) / 12) for _ in range(2)]
-        roots2 = [mp.expjpi(mpf(2 * rng.randrange(12)) / 12) for _ in range(1)]
-        num1 = LaurentPoly({rng.randint(-2, 1): rng.randint(1, 3), 0: 1})
-        num2 = LaurentPoly({rng.randint(-1, 2): rng.randint(1, 3)})
-        den1 = LaurentPoly({0: 1, 1: -roots1[0]}) * LaurentPoly({0: 1, 1: -roots1[1]})
-        den2 = LaurentPoly({0: 1, 1: -roots2[0]})
-        f, g = RationalFn(num1, den1), RationalFn(num2, den2)
+        r1 = _root(rng.randrange(12), 12)
+        r2 = _root(rng.randrange(12), 12)
+        f = {rng.randint(-2, 0): mpc(rng.randint(1, 3)), 0: mpc(1)}
+        g = {rng.randint(-1, 0): mpc(rng.randint(1, 3))}
         T = 8
-        # Principal parts spill into low product degrees; expand far enough.
-        spill = max(0, -f.num.min_degree) + max(0, -g.num.min_degree)
-        lhs = series_expand(f * g, T)
-        rhs = (series_expand(f, T + spill) * series_expand(g, T + spill)).truncate(T)
-        assert lhs.max_abs_difference(rhs) < mpf("1e-30")
+        fg = {}
+        for d1, c1 in f.items():
+            for d2, c2 in g.items():
+                fg[d1 + d2] = fg.get(d1 + d2, mpc(0)) + c1 * c2
+        lhs, _ = expand_geometric(fg, (r1, r2), T)
+        sf, _ = expand_geometric(f, (r1,), T + 2)
+        sg, _ = expand_geometric(g, (r2,), T + 2)
+        for d in range(min(fg), T + 1):
+            rhs = sum((c * sg.get(d - d1, mpc(0)) for d1, c in sf.items()), mpc(0))
+            assert abs(lhs.get(d, mpc(0)) - rhs) < mpf("1e-30")
 
 
-def test_rationalfn_normalization_invariant():
-    f = RationalFn(LaurentPoly({0: 2}), LaurentPoly({-3: 5, -1: 1}))
-    assert f.den.min_degree == 0
-    assert approx_equal(f.den[0], 1, mpf("1e-35"))
+def test_expand_geometric_drops_exact_zeros():
+    # 1 / ((1 - iX)(1 + iX)) = 1 / (1 + X^2): odd coefficients vanish exactly.
+    theta, _ = expand_geometric({0: 1}, (_root(1, 4), _root(3, 4)), 7)
+    assert sorted(theta) == [0, 2, 4, 6]
+    assert expand_geometric({0: 0}, (_root(1, 4),), 7) == ({}, [])
 
 
-def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        RationalFn(LaurentPoly.one(), LaurentPoly.zero())
-
-
-def test_laurent_drops_exact_zeros():
-    f = LaurentPoly({0: 1, 2: 0})
-    assert 2 not in f.coeffs
-    g = f - f
-    assert g.is_zero()
+def test_scaled_root_exact_arithmetic():
+    a = _root(1, 6, 5, 1)
+    assert a.inverse() == _root(5, 6, 5, -1)
+    assert a.shift(2) == ScaledRoot(RootOfUnity(1, 6), 5, 3)
+    assert a**3 == _root(1, 2, 5, 3)
+    assert approx_equal(a.embed(), RootOfUnity(1, 6).embed() / mp.sqrt(5),
+                        mpf("1e-35"))
+    assert approx_equal(a.shift(2).modulus(), mp.power(5, -1.5), mpf("1e-35"))
 
 
 def test_set_precision_roundtrip():
