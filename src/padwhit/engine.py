@@ -22,9 +22,12 @@ Atkin-Lehner relation.  The direct solve remains available behind
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .characters import (
@@ -37,6 +40,8 @@ from .characters import (
 from .numerics import ONE, RootOfUnity, expand_geometric
 from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
 from .representations import Representation, trivial_character
+
+log = logging.getLogger("padwhit")
 
 
 class TruncationError(RuntimeError):
@@ -223,13 +228,16 @@ def tables_for_level(rep: Representation, k: int, t_max: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _char_values_on_units(p: int, k: int, prec: int):
-    """(units, rows): rows[i][j] = (i-th character)(j-th unit) embedded."""
+    """(units, rows, table): rows[i][j] = (i-th character)(j-th unit)
+    embedded, and table the same matrix in complex128 (read-only)."""
     chars = characters_mod(p, k)
     units = unit_group(p, k).units()
     rows = tuple(
         tuple(mu.eval_unit(v).embed() for v in units) for mu in chars
     )
-    return units, rows
+    table = np.array(rows, dtype=np.complex128)
+    table.flags.writeable = False
+    return units, rows, table
 
 
 def _validate_rep_triple(rep: Representation, r: Representative) -> None:
@@ -361,7 +369,10 @@ def sup_norm(rep: Representation, t_max: int | None = None,
     Scans levels k <= n/2 of the newvector and of its contragredient (the
     latter covers the levels above n/2 through the Atkin-Lehner symmetry),
     over the complete representative domain; the tail certificates of the
-    coefficient tables bound everything beyond t_max.
+    coefficient tables bound everything beyond t_max.  Each level is
+    screened in complex128 (:func:`_screen`) and only the points that can
+    reach the tie threshold of the maximum are synthesized at working
+    precision, so the result is the one of synthesizing every point.
     """
     n, p = rep.n, rep.p
     if t_max is None:
@@ -371,36 +382,24 @@ def sup_norm(rep: Representation, t_max: int | None = None,
     tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
     cands: list[tuple] = []
     tail_sup = mpf(0)
+    screened = synthesized = 0
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
         for k in range(n // 2 + 1):
             tables = tables_for_level(fam, k, t_max)
-            units, rows = _char_values_on_units(p, k, mp.prec)
-            chars = characters_mod(p, k)
-            index = {mu: i for i, mu in enumerate(chars)}
-            support = sorted({t for tab in tables for t in tab.coeffs})
-            for t in support:
-                if t < -k - n or t > t_max:
-                    continue
-                live = [(index[tab.mu], tab.value(t)) for tab in tables
-                        if tab.value(t) != 0]
-                if not live:
-                    continue
-                if len(live) == 1:
-                    # A single character: |W| is the same for every v.
-                    entries = [(abs(live[0][1]), units[0])]
-                else:
-                    entries = []
-                    for j, v in enumerate(units):
-                        w = mpc(0)
-                        for i, c in live:
-                            w += c * rows[i][j]
-                        entries.append((abs(w), v))
-                for value, v in entries:
-                    if value > best:
-                        best = value
-                    if value >= best * tie:
-                        cands.append((value, is_dual, t, k, v))
+            entries, n_screened, n_synthesized = _level_values(
+                tables, _char_values_on_units(p, k, mp.prec), -k - n, t_max,
+                best, tie)
+            screened += n_screened
+            synthesized += n_synthesized
+            for value, t, v in entries:
+                if value > best:
+                    best = value
+                if value >= best * tie:
+                    cands.append((value, is_dual, t, k, v))
             tail_sup = max(tail_sup, _tail_sup_level(tables, t_max))
+    log.debug("sup_norm %s: %d points screened in complex128, %d "
+              "synthesized at %d bits", rep.spec_string(), screened,
+              synthesized, mp.prec)
     cands = [c for c in cands if c[0] >= best * tie]
     # Map candidates to coordinates of the primary newvector and tie-break.
     mapped = []
@@ -419,21 +418,151 @@ def sup_norm(rep: Representation, t_max: int | None = None,
     if h < 1 - tolerance:
         raise RuntimeError(f"sup-norm {h} below 1; the solver is inconsistent")
     certified = tail_sup < h * (1 - mpf("1e-12"))
+    if not certified:
+        log.info("sup_norm %s not certified: tail_sup %s is not below "
+                 "h %s by the margin 1e-12", rep.spec_string(),
+                 mp.nstr(tail_sup, 17), mp.nstr(h, 17))
     lower, upper = theorem_refs(rep)
     return SupNormResult(h, Representative(t_w, k_w, v_w), certified,
                          lower, upper, t_max, tail_sup)
 
 
+def _level_values(tables, char_values, lo: int, hi: int, best: mpf,
+                  tie: mpf):
+    """Working-precision values ``(|W(g(t,k,v))|, t, v)`` of one level, in
+    (t, dlog v) order, for every point with ``lo <= t <= hi`` that can reach
+    the tie threshold ``best * tie`` of the maximum (``best``: the largest
+    value found so far); then how many points with two or more live
+    characters were screened in complex128 and how many synthesized.
+    ``tables[i]`` is the column of the character of row i of
+    ``char_values``, as :func:`tables_for_level` builds them.
+
+    Points with one live character are read off exactly.  The others are
+    screened by :func:`_screen`; a point is skipped only when its upper bound
+    lies below :func:`_tie_floor` of a value already known, so every point
+    that can be the maximum or tie with it is synthesized exactly as without
+    the screen.  A coefficient outside the float64 range sends the whole
+    level to working precision.
+    """
+    units, rows, table = char_values
+    by_t: dict = {}
+    for i, tab in enumerate(tables):
+        for t, c in tab.coeffs.items():
+            if lo <= t <= hi and c:
+                by_t.setdefault(t, []).append((i, c))
+    order = sorted(by_t)
+    multi = [by_t[t] for t in order if len(by_t[t]) > 1]
+    # A single character: |W| is the same for every v.
+    single = {t: abs(live[0][1]) for t, live in by_t.items() if len(live) == 1}
+    best = max([best, *single.values()])
+    screen = _screen(multi, table) if multi else None
+    exact: dict = {}
+    if screen is None:
+        keep = np.ones((len(multi), len(units)), dtype=bool)
+    else:
+        values, bounds = screen
+        upper = values + bounds[:, None]
+        keep = ~(upper < _tie_floor(best, tie))
+        if keep.any():
+            # The largest screened point first, to raise the floor.
+            r, j = divmod(int(np.argmax(upper)), upper.shape[1])
+            exact[r, j] = _synthesize(multi[r], rows, j)
+            keep = ~(upper < _tie_floor(max(best, exact[r, j]), tie))
+    out = []
+    r = 0
+    for t in order:
+        if t in single:
+            out.append((single[t], t, units[0]))
+            continue
+        for j in np.flatnonzero(keep[r]).tolist():
+            value = exact.get((r, j))
+            if value is None:
+                value = _synthesize(by_t[t], rows, j)
+            out.append((value, t, units[j]))
+        r += 1
+    return out, 0 if screen is None else keep.size, int(keep.sum())
+
+
+def _synthesize(live, rows, j: int) -> mpf:
+    """|sum_i c_i chi_i(v_j)| at working precision, summed in table order."""
+    w = mpc(0)
+    for i, c in live:
+        w += c * rows[i][j]
+    return abs(w)
+
+
+# Unit roundoff of complex128 arithmetic, and the absolute error of one
+# complex128 operation that underflows.
+_F64_U = 2.0**-53
+_F64_ETA = 2.0**-1074
+
+
+def _screen(multi, table):
+    """complex128 values ``|sum_i c_i chi_i(v_j)|`` for the rows ``multi``
+    (per t, the live ``(i, c_i)``) and the character table ``table``, with a
+    bound per row on their distance from the working-precision values, or
+    None when a coefficient is not finite in float64.
+
+    A-priori bound (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3), with ``m`` characters, ``u = 2^-53``,
+    ``w = 2^-prec`` (``w <= u``), ``gamma_k = k u / (1 - k u)`` and
+    ``P = sum_i |c_i| |chi_i(v)|``, where ``|chi_i(v)| <= 1 + 2w``:
+
+    * rounding ``c_i`` and ``chi_i(v)`` to complex128 moves each part by at
+      most 2u relative (mpmath may round toward zero), so each product by at
+      most ``(4u + 4u^2) |c_i| |chi_i(v)|``;
+    * the real and imaginary parts of the product are real inner products
+      of length 2m, which any summation order, with or without fused
+      multiply-adds, computes within ``gamma_2m sum_i |c_i^| |chi_i^(v)|``,
+      so the complex sum within ``sqrt(2) gamma_2m (1 + 2u)^2 P``;
+    * ``abs`` (hypot) adds at most ``u`` relative;
+    * the working-precision loop itself errs by at most
+      ``sqrt(2) gamma^w_2m P + w |W|``.
+
+    That is ``(2.9 m + 5.1)(u + w) P`` to first order.  The bound used,
+    ``(4 m + 8)(u + w) sum_i |c_i^|``, leaves room for the second-order
+    terms, for ``P <= (1 + 2w)(1 + 2u) sum_i |c_i^|`` and for the rounding of
+    the bound itself; ``(16 m + 16) 2^-1074`` covers underflow.
+    """
+    m = table.shape[0]
+    coeffs = np.zeros((len(multi), m), dtype=np.complex128)
+    for r, live in enumerate(multi):
+        for i, c in live:
+            coeffs[r, i] = complex(c)
+    if not np.isfinite(coeffs).all():
+        return None
+    w = math.ldexp(1.0, -mp.prec)
+    bounds = ((4 * m + 8) * (_F64_U + w) * np.abs(coeffs).sum(axis=1)
+              + (16 * m + 16) * _F64_ETA)
+    return np.abs(coeffs @ table), bounds
+
+
+def _tie_floor(best: mpf, tie: mpf) -> float:
+    """A float below the working-precision tie threshold ``h * tie`` of
+    every maximum ``h >= best``.  Five roundings separate a screened upper
+    bound from that threshold: of ``best * tie``, of its float conversion,
+    of this scaling, of the upper bound's last addition and of ``h * tie``,
+    each at most ``u`` or ``w`` relative, so the factor ``1 - 4(u + w)``
+    keeps the floor under it.  An upper bound below the floor can neither
+    be the maximum nor tie with it."""
+    if best <= 0:
+        return -math.inf
+    return float(best * tie) * (1 - 4 * (_F64_U + math.ldexp(1.0, -mp.prec)))
+
+
 def _tail_sup_level(tables, t_max: int) -> mpf:
     """Certified sup over t > t_max of the synthesized value bound
     sum_mu |c[t,k](mu)|."""
+    # Columns without Satake roots have an identically zero tail; adding
+    # their exact zeros would change no bit of the sum.
+    tails = [tab.tail for tab in tables if tab.tail.a0 or tab.tail.a1]
     sup = mpf(0)
     prev = None
     decreasing_since = 0
     for s in range(1, 2000):
         b = mpf(0)
-        for tab in tables:
-            b += tab.tail.coeff_bound(t_max + s)
+        for tail in tails:
+            b += tail.coeff_bound(t_max + s)
         sup = max(sup, b)
         if prev is not None and b < prev:
             decreasing_since += 1

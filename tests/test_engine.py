@@ -1,8 +1,14 @@
+import logging
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from padwhit import engine
 from padwhit.characters import (
@@ -383,6 +389,217 @@ def test_sup_norm_deterministic_witness():
     r1 = sup_norm(rep)
     r2 = sup_norm(rep)
     assert (r1.h, r1.witness, r1.certified) == (r2.h, r2.witness, r2.certified)
+
+
+def _exhaustive_sup_norm_oracle(rep):
+    """sup_norm as it was before screening: every point synthesized at
+    working precision, every column's tail bound summed.  Returns
+    (h, witness, certified, tail_bound)."""
+    n, p = rep.n, rep.p
+    t_max = default_t_max(rep)
+    best = mpf(-1)
+    tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
+    cands = []
+    tail_sup = mpf(0)
+    for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
+        for k in range(n // 2 + 1):
+            tables = tables_for_level(fam, k, t_max)
+            units, rows, _ = engine._char_values_on_units(p, k, mp.prec)
+            index = {mu: i for i, mu in enumerate(characters_mod(p, k))}
+            support = sorted({t for tab in tables for t in tab.coeffs})
+            for t in support:
+                if t < -k - n or t > t_max:
+                    continue
+                live = [(index[tab.mu], tab.value(t)) for tab in tables
+                        if tab.value(t) != 0]
+                if not live:
+                    continue
+                if len(live) == 1:
+                    entries = [(abs(live[0][1]), units[0])]
+                else:
+                    entries = []
+                    for j, v in enumerate(units):
+                        w = mpc(0)
+                        for i, c in live:
+                            w += c * rows[i][j]
+                        entries.append((abs(w), v))
+                for value, v in entries:
+                    if value > best:
+                        best = value
+                    if value >= best * tie:
+                        cands.append((value, is_dual, t, k, v))
+            sup, prev, decreasing_since = mpf(0), None, 0
+            for s in range(1, 2000):
+                b = mpf(0)
+                for tab in tables:
+                    b += tab.tail.coeff_bound(t_max + s)
+                sup = max(sup, b)
+                decreasing_since = (decreasing_since + 1
+                                    if prev is not None and b < prev else 0)
+                prev = b
+                if b < mpf("1e-40") or (decreasing_since > 6 and b < sup / 2):
+                    break
+            tail_sup = max(tail_sup, sup)
+    mapped = []
+    for value, is_dual, t, k, v in cands:
+        if value < best * tie:
+            continue
+        if is_dual:
+            t, k = t + 2 * k - n, n - k
+            v = (-v) % max(p ** min(k, n - k), 2) or 1
+        mapped.append((k, t, engine._dlog_key(p, min(k, n - k), v), v))
+    k_w, t_w, _, v_w = min(mapped, key=lambda e: e[:3])
+    certified = tail_sup < best * (1 - mpf("1e-12"))
+    return best, Representative(t_w, k_w, v_w), certified, tail_sup
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
+def test_sup_norm_screen_matches_exhaustive_oracle(bits):
+    family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
+    old = get_precision()
+    try:
+        set_precision(bits)
+        for rep in family:
+            got = sup_norm(rep)
+            h, witness, certified, tail = _exhaustive_sup_norm_oracle(rep)
+            spec = rep.spec_string()
+            assert got.h == h, spec
+            assert got.witness == witness, spec
+            assert got.certified == certified, spec
+            assert got.tail_bound == tail, spec
+    finally:
+        set_precision(old)
+
+
+def _random_rows(rng, n_chars, count):
+    """``count`` rows of live (index, coefficient), magnitudes over 1e-30..1e8."""
+    rows = []
+    for _ in range(count):
+        idx = sorted(rng.sample(range(n_chars), rng.randint(2, n_chars)))
+        rows.append([(i, mpc(rng.gauss(0, 1), rng.gauss(0, 1))
+                      * mpf(10) ** rng.randint(-30, 8)) for i in idx])
+    return rows
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_screen_bound_holds_on_random_coefficients(bits):
+    rng = random.Random(7 + bits)
+    old = get_precision()
+    try:
+        set_precision(bits)
+        for p, k in ((2, 4), (3, 3), (5, 2), (7, 1)):
+            units, rows, table = engine._char_values_on_units(p, k, mp.prec)
+            multi = _random_rows(rng, len(rows), 40)
+            values, bounds = engine._screen(multi, table)
+            for r, live in enumerate(multi):
+                scale = sum(abs(c) for _, c in live)
+                assert bounds[r] < mpf("1e-12") * scale  # a useful screen
+                for j in range(len(units)):
+                    x = engine._synthesize(live, rows, j)
+                    assert abs(mpf(values[r, j]) - x) <= mpf(bounds[r]), (p, k, r, j)
+    finally:
+        set_precision(old)
+
+
+def test_screen_falls_back_on_non_finite_coefficient():
+    p, k, lo, hi = 3, 2, -3, 1
+    char_values = engine._char_values_on_units(p, k, mp.prec)
+    units, rows, table = char_values
+    rng = random.Random(11)
+    coeffs = [{t: mpc(rng.random(), rng.random()) for t in range(lo, hi + 1)}
+              for _ in characters_mod(p, k)]
+    tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
+
+    def level(coeffs):
+        tables = [engine.CoefficientTable(k, mu, 0, c, None, hi)
+                  for mu, c in zip(characters_mod(p, k), coeffs)]
+        return engine._level_values(tables, char_values, lo, hi, mpf(-1), tie)
+
+    entries, screened, synthesized = level(coeffs)
+    assert screened == (hi - lo + 1) * len(units)
+    assert len(entries) == synthesized < screened
+    coeffs[1][0] = mpc(mpf("1e400"), 1)  # overflows float64
+    assert engine._screen([[(1, coeffs[1][0]), (0, mpc(1))]], table) is None
+    entries, screened, synthesized = level(coeffs)
+    assert screened == 0
+    assert synthesized == (hi - lo + 1) * len(units)
+    # The exact loop: every point of the level, in (t, dlog v) order.
+    want = [(engine._synthesize([(i, c[t]) for i, c in enumerate(coeffs)],
+                                rows, j), t, v)
+            for t in range(lo, hi + 1) for j, v in enumerate(units)]
+    assert entries == want
+
+
+def test_screen_keeps_near_ties():
+    # At 53 bits values within TIE_ULPS = 2^16 ulps (7.3e-12 relative) of the
+    # maximum tie with it; one 1e-12 below it lies well outside the screen's
+    # error bound, so only the tie threshold keeps it.
+    old = get_precision()
+    try:
+        set_precision(53)
+        p, k = 3, 1
+        char_values = engine._char_values_on_units(p, k, mp.prec)
+        units = char_values[0]
+        s = 1 - mpf("1e-12")
+        tables = [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)},
+                                          None, 1)
+                  for mu in characters_mod(p, k)]
+        tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
+        entries, screened, _ = engine._level_values(tables, char_values, 0, 1,
+                                                    mpf(-1), tie)
+        assert screened == 2 * len(units)
+        top = max(value for value, _, _ in entries)
+        assert top == 2
+        ties = [(t, value) for value, t, _ in entries if value >= top * tie]
+        assert ties == [(0, 2 * s), (1, top)]
+    finally:
+        set_precision(old)
+
+
+def test_sup_norm_logs_screen_counts(caplog):
+    rep = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))
+    with caplog.at_level(logging.DEBUG, logger="padwhit"):
+        sup_norm(rep)
+    [msg] = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.DEBUG and "screened" in r.getMessage()]
+    match = re.search(r"(\d+) points screened in complex128, (\d+) "
+                      r"synthesized at 128 bits", msg)
+    assert match, msg
+    screened, synthesized = map(int, match.groups())
+    assert screened > synthesized > 0
+    assert rep.spec_string() in msg
+
+
+def test_sup_norm_logs_why_not_certified(caplog, monkeypatch):
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
+    with caplog.at_level(logging.INFO, logger="padwhit"):
+        assert sup_norm(rep).certified
+    assert not [r for r in caplog.records if r.levelno >= logging.INFO]
+    monkeypatch.setattr(engine, "_tail_sup_level", lambda tables, t_max: mpf(10))
+    with caplog.at_level(logging.INFO, logger="padwhit"):
+        res = sup_norm(rep)
+    assert not res.certified
+    [msg] = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert "not certified" in msg and rep.spec_string() in msg
+    assert "tail_sup 10.0 " in msg and "h 1.7320508075688773" in msg
+
+
+def test_sup_norm_logging_silent_by_default():
+    # Without a configured handler, neither message reaches stdout or stderr.
+    code = (
+        "from mpmath import mpf\n"
+        "from padwhit import engine\n"
+        "from padwhit.representations import parse_rep\n"
+        "engine._tail_sup_level = lambda tables, t_max: mpf(10)\n"
+        "rep = parse_rep('ps', '3^2:1@0/1,3^0:0@0/1')\n"
+        "assert not engine.sup_norm(rep).certified\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == proc.stderr == ""
 
 
 def test_lower_bound_witness_examples():
