@@ -24,7 +24,6 @@ from .padics import (
     LocalFieldData,
     PAdicApprox,
     PrecisionError,
-    decompose_rational,
     psi_eval,
     unit_group,
 )
@@ -60,14 +59,11 @@ from .engine import (
     Mat2,
     Representative,
     SupNormResult,
-    TruncationError,
     atkin_lehner_reduce,
     coefficient_table,
     conjugate_value,
     contragredient_of,
     decompose_matrix,
-    default_t_max,
-    lambda_norm,
     lambda_sq_sum,
     lower_bound_witness,
     reduce_matrix,

@@ -149,14 +149,6 @@ def make_character(p: int, level: int, exps) -> UnitCharacter:
     return _reduce_to_conductor(UnitCharacter(p, level, exps))
 
 
-def char_eval(mu: UnitCharacter, u) -> RootOfUnity:
-    return mu.eval(u)
-
-
-def conductor_product(mu: UnitCharacter, nu: UnitCharacter) -> int:
-    return (mu * nu).conductor
-
-
 @lru_cache(maxsize=None)
 def characters_mod(p: int, k: int) -> tuple[UnitCharacter, ...]:
     """All characters of (Z/p^k)^x, in lexicographic exponent order."""

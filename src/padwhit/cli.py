@@ -95,7 +95,7 @@ def cmd_value(args) -> int:
     if args.v % rep.p == 0:
         raise UsageError(f"v={args.v} is not a unit at p={rep.p}")
     used_reduction = 2 * r.k > rep.n
-    value = whittaker_value(rep, r, t_max=args.tmax)
+    value = whittaker_value(rep, r)
     print(f"representation: {rep.spec_string()}  (n={rep.n}, m={rep.m})")
     print(f"representative: t={r.t} k={r.k} v={r.v}")
     print(f"value: {mp.nstr(value, 20)}")
@@ -104,22 +104,24 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _scan_row(rep: Representation, t_max: int | None, timings: bool,
+def _scan_row(rep: Representation, timings: bool,
               tolerance: float = 1e-9) -> dict:
     start = time.monotonic()
-    res = sup_norm(rep, t_max=t_max, tolerance=mpf(tolerance))
+    res = sup_norm(rep, tolerance=mpf(tolerance))
     elapsed = time.monotonic() - start
     kind = {"PrincipalSeries": "ps", "SteinbergTwist": "st"}.get(
         type(rep).__name__, "sc")
     n = rep.n
-    lind = mp.log(res.h) / (n * mp.log(rep.p)) if n else mpf(0)
+    h = _fmt(res.h)
+    # log_q of the printed h, so that h = 1 prints 0.0 and no residue.
+    lind = mp.log(mpf(h)) / (n * mp.log(rep.p)) if n else mpf(0)
     return {
         "p": rep.p,
         "n": n,
         "m": rep.m,
         "type": kind,
         "spec": rep.spec_string(),
-        "h": _fmt(res.h),
+        "h": h,
         "witness_t": res.witness.t,
         "witness_k": res.witness.k,
         "witness_v": res.witness.v,
@@ -149,24 +151,24 @@ def cmd_scan(args) -> int:
     if args.jobs > 1 and len(reps) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(r.spec_string(), args.tmax, args.timings, args.tolerance,
-                    mp.prec) for r in reps]
+        payload = [(r.spec_string(), args.timings, args.tolerance, mp.prec)
+                   for r in reps]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_row_from_spec, payload))
     else:
         for rep in reps:
-            rows.append(_scan_row(rep, args.tmax, args.timings, args.tolerance))
+            rows.append(_scan_row(rep, args.timings, args.tolerance))
     text = _render_rows(rows, args.format)
     _write_output(args.out, text)
     return 0
 
 
 def _scan_row_from_spec(item) -> dict:
-    spec, tmax, timings, tolerance, prec = item
+    spec, timings, tolerance, prec = item
     set_precision(prec)
     kind, payload = spec.split(":", 1)
     rep = parse_rep(kind, payload)
-    return _scan_row(rep, tmax, timings, tolerance)
+    return _scan_row(rep, timings, tolerance)
 
 
 def _render_rows(rows, fmt: str) -> str:
@@ -211,11 +213,9 @@ def cmd_verify(args) -> int:
     suites = ("gl1", "representation", "main") if args.suite == "all" else (args.suite,)
     if args.perturb_eps:
         with perturb_epsilon(args.perturb_eps):
-            reports = run_suite(tuple(args.p), args.amax, args.nmax,
-                                args.tmax, suites)
+            reports = run_suite(tuple(args.p), args.amax, args.nmax, suites)
     else:
-        reports = run_suite(tuple(args.p), args.amax, args.nmax,
-                            args.tmax, suites)
+        reports = run_suite(tuple(args.p), args.amax, args.nmax, suites)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": {
@@ -259,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     common_rep.add_argument("--st", help="Steinberg twist: CHAR")
     common_rep.add_argument("--sc", help="supercuspidal: n,CHAR (with --oracle)")
     common_rep.add_argument("--oracle", help="supercuspidal twist-data JSON file")
-    common_rep.add_argument("--tmax", type=int, default=None,
-                            help="table depth (default 2n + 20)")
 
     ap_value = sub.add_parser("value", parents=[common_rep],
                               help="evaluate the newvector at one representative")
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="all")
     ap_scan.add_argument("--conjecture-regime", action="store_true",
                          help="keep only m <= ceil(n/2) rows")
-    ap_scan.add_argument("--tmax", type=int, default=None)
     ap_scan.add_argument("--tolerance", type=float, default=1e-9,
                          help="numerical guard tolerance for certification")
     ap_scan.add_argument("--jobs", type=int, default=1)
@@ -293,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap_verify.add_argument("--p", type=_int_list, default=[2, 3, 5])
     ap_verify.add_argument("--amax", type=int, default=3)
     ap_verify.add_argument("--nmax", type=int, default=3)
-    ap_verify.add_argument("--tmax", type=int, default=None)
     ap_verify.add_argument("--perturb-eps", type=float, default=0.0,
                            help="inject a relative epsilon error (harness canary)")
     ap_verify.add_argument("--out", default="-")

@@ -35,17 +35,12 @@ from .characters import (
     characters_mod,
     epsilon_factor,
     epsilon_perturbation,
-    zeta_value,
 )
 from .numerics import ONE, RootOfUnity, expand_geometric
 from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
 from .representations import Representation, trivial_character
 
 log = logging.getLogger("padwhit")
-
-
-class TruncationError(RuntimeError):
-    """A value beyond the requested table depth was asked for explicitly."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +52,15 @@ class Representative:
     v: int = 1
 
 
-def default_t_max(rep: Representation) -> int:
+def _window(rep: Representation) -> int:
+    """The last t at which every column stores its coefficient; beyond it
+    coefficients come from the column's partial fractions."""
     return 2 * rep.n + 20
 
 
 def _zeta1(p: int) -> mpf:
-    z = zeta_value(p, 1)
-    return mpf(z.numerator) / z.denominator
+    # zeta(1) = p / (p - 1), a fraction already in lowest terms.
+    return mpf(p) / (p - 1)
 
 
 @dataclass(frozen=True)
@@ -91,45 +88,46 @@ class TailBound:
 
 
 class CoefficientTable:
-    """Fourier coefficients ``t -> c[t,k](mu)`` of one unit character, plus a
-    tail certificate for every ``t`` beyond the computed range."""
+    """Fourier coefficients ``t -> c[t,k](mu)`` of one unit character: those
+    up to the window stored, a tail certificate for every ``t`` beyond it,
+    and the partial fractions ``(b0, b1, a)`` that give each of them as
+    ``sum (b0 + b1 d) a^d q^(-d/2)`` with ``d = t + A``."""
 
-    __slots__ = ("k", "mu", "A", "coeffs", "tail", "t_max")
+    __slots__ = ("k", "mu", "A", "coeffs", "tail", "parts")
 
     def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict,
-                 tail: TailBound, t_max: int):
+                 tail: TailBound, parts: list):
         self.k = k
         self.mu = mu
         self.A = A
         self.coeffs = coeffs
         self.tail = tail
-        self.t_max = t_max
+        self.parts = parts
 
     def value(self, t: int) -> mpc:
-        return self.coeffs.get(t, mpc(0))
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
+        d = t + self.A
+        if not self.parts or d <= self.tail.d_from:
+            return self.coeffs.get(t, mpc(0))
+        theta = sum(((b0 + b1 * d) * a**d for b0, b1, a in self.parts), mpc(0))
+        return theta * mp.power(self.tail.q, -mpf(d) / 2)
 
     def __repr__(self):
         return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.coeffs)} coeffs)"
 
 
-def coefficient_table(rep: Representation, k: int, mu: UnitCharacter,
-                      t_max: int | None = None) -> CoefficientTable:
+def coefficient_table(rep: Representation, k: int,
+                      mu: UnitCharacter) -> CoefficientTable:
     """Solve the functional-equation identity for the column (k, mu).
 
     Columns with cond(mu) > k are identically zero and come back empty.
     """
     if not 0 <= k <= rep.n:
         raise ValueError(f"level k={k} outside [0, {rep.n}]")
-    if t_max is None:
-        t_max = default_t_max(rep)
-    return solve_column(rep, k, mu, rep.diagonal_ratio(), t_max)
+    return solve_column(rep, k, mu, rep.diagonal_ratio())
 
 
-def solve_column(rep: Representation, k: int, mu: UnitCharacter, ratio,
-                 t_max: int) -> CoefficientTable:
+def solve_column(rep: Representation, k: int, mu: UnitCharacter,
+                 ratio) -> CoefficientTable:
     """The column (k, mu) from the twist data of ``rep`` and the exact
     diagonal ratio ``ratio`` (None for a diagonal supported at t = 0).
 
@@ -142,7 +140,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter, ratio,
     p = rep.p
     if mu.conductor > k:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, 0, p)
-        return CoefficientTable(k, mu, 0, {}, zero_tail, t_max)
+        return CoefficientTable(k, mu, 0, {}, zero_tail, [])
     td = rep.twist_data(mu)
     zeta1 = _zeta1(p)
     duals = [g.shift(2) for g in td.l_den]
@@ -174,7 +172,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter, ratio,
 
     if coeff == 0:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, td.A, p)
-        return CoefficientTable(k, mu, td.A, {}, zero_tail, t_max)
+        return CoefficientTable(k, mu, td.A, {}, zero_tail, [])
 
     roots = list(td.l_num)
     for c in list(duals):
@@ -191,7 +189,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter, ratio,
         dual_poly.append(duals[0].embed() * duals[1].embed())
     scale = rep.omega.at_minus_one().embed() / td.eps
     terms = {e - j: (coeff * x) * scale for j, x in enumerate(dual_poly)}
-    d_last = t_max + td.A
+    d_last = _window(rep) + td.A
     theta, parts = expand_geometric(terms, tuple(roots), d_last)
     coeffs = {d - td.A: c * mp.power(p, -mpf(d) / 2) for d, c in theta.items()}
     rho_max = max((a.modulus() for a in td.l_num), default=mpf(0))
@@ -201,7 +199,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter, ratio,
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
     tail = TailBound(a0, a1, rho_max, d_last, td.A, p)
-    return CoefficientTable(k, mu, td.A, coeffs, tail, t_max)
+    return CoefficientTable(k, mu, td.A, coeffs, tail, parts)
 
 
 @lru_cache(maxsize=None)
@@ -213,17 +211,17 @@ def contragredient_of(rep: Representation) -> Representation:
 # largest working set in use, ~400 descriptors of conductor <= 4 queried at
 # random points, holds about 1,200 levels.
 @lru_cache(maxsize=2048)
-def _tables_for_level_at(rep: Representation, k: int, t_max: int,
-                         prec: int, eps_perturbation) -> tuple:
+def _tables_for_level_at(rep: Representation, k: int, prec: int,
+                         eps_perturbation) -> tuple:
     return tuple(
-        coefficient_table(rep, k, mu, t_max) for mu in characters_mod(rep.p, k)
+        coefficient_table(rep, k, mu) for mu in characters_mod(rep.p, k)
     )
 
 
-def tables_for_level(rep: Representation, k: int, t_max: int) -> tuple:
+def tables_for_level(rep: Representation, k: int) -> tuple:
     """Coefficient tables for every unit character of level <= k, cached per
     working precision and epsilon perturbation."""
-    return _tables_for_level_at(rep, k, t_max, mp.prec, epsilon_perturbation())
+    return _tables_for_level_at(rep, k, mp.prec, epsilon_perturbation())
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +246,7 @@ def _validate_rep_triple(rep: Representation, r: Representative) -> None:
 
 
 def whittaker_value(rep: Representation, r: Representative,
-                    direct: bool = False, t_max: int | None = None) -> mpc:
+                    direct: bool = False) -> mpc:
     """Value of the normalized newvector at the representative ``r``.
 
     Fourier synthesis over the level-k character group when ``2k <= n`` (or
@@ -259,27 +257,21 @@ def whittaker_value(rep: Representation, r: Representative,
     n = rep.n
     if r.t < -r.k - n:
         return mpc(0)
-    if t_max is not None and r.t > t_max:
-        raise TruncationError(
-            f"t={r.t} exceeds the requested table depth t_max={t_max}"
-        )
     if 2 * r.k <= n or direct:
-        eff = max(default_t_max(rep), r.t) if t_max is None else t_max
         total = mpc(0)
-        for tab in tables_for_level(rep, r.k, eff):
+        for tab in tables_for_level(rep, r.k):
             c = tab.value(r.t)
             if c != 0:
                 total += c * tab.mu.eval_unit(r.v).embed()
         return total
     phase, reduced, dual = atkin_lehner_reduce(rep, r)
-    return phase * whittaker_value(dual, reduced, t_max=t_max)
+    return phase * whittaker_value(dual, reduced)
 
 
-def conjugate_value(rep: Representation, r: Representative,
-                    t_max: int | None = None) -> mpc:
+def conjugate_value(rep: Representation, r: Representative) -> mpc:
     """Value of the opposite-invariance variant; equals the contragredient's
     newvector on every representative."""
-    return whittaker_value(contragredient_of(rep), r, t_max=t_max)
+    return whittaker_value(contragredient_of(rep), r)
 
 
 def atkin_lehner_reduce(rep: Representation, r: Representative):
@@ -301,33 +293,29 @@ def atkin_lehner_reduce(rep: Representation, r: Representative):
     return eps_dual * phase_root.embed(), reduced, dual
 
 
-def lambda_norm(rep: Representation, t: int, k: int,
-                t_max: int | None = None) -> mpf:
-    """Square mean of |W(g(t,k,.))| over the units: by Parseval the l2 norm
-    of the Fourier coefficients at (t, k)."""
-    eff = t_max if t_max is not None else max(default_t_max(rep), t)
-    total = mpf(0)
-    for tab in tables_for_level(rep, k, eff):
-        total += abs(tab.value(t)) ** 2
-    return mp.sqrt(total)
+def lambda_sq_sum(rep: Representation, k: int):
+    """(sum over the window of lambda^2, certified bound on the rest).
 
-
-def lambda_sq_sum(rep: Representation, k: int, t_max: int | None = None):
-    """(sum over computed t of lambda^2, certified bound on the tail)."""
-    if t_max is None:
-        t_max = default_t_max(rep)
-    tables = tables_for_level(rep, k, t_max)
+    Past the window each column's tail bound is ``(a0 + a1 s) rho^s
+    q^(-(d_from + s)/2)`` at ``s = 1, 2, ...``, so its squares sum to
+    ``q^(-d_from) sum_s (a0 + a1 s)^2 x^s`` with ``x = rho^2 / q < 1``,
+    the closed form below.
+    """
+    tables = tables_for_level(rep, k)
     total = mpf(0)
     for tab in tables:
         for c in tab.coeffs.values():
             total += abs(c) ** 2
     tail = mpf(0)
     for tab in tables:
-        for s in range(1, 400):
-            b = tab.tail.coeff_bound(t_max + s)
-            tail += b * b
-            if b * b < mpf("1e-60"):
-                break
+        b = tab.tail
+        if not (b.a0 or b.a1):
+            continue
+        x = b.rho**2 / b.q
+        y = 1 - x
+        tail += mp.power(b.q, -b.d_from) * (
+            b.a0**2 * x / y + 2 * b.a0 * b.a1 * x / y**2
+            + b.a1**2 * x * (1 + x) / y**3)
     return total, tail
 
 
@@ -343,7 +331,7 @@ class SupNormResult:
     certified: bool
     lower_ref: mpf
     upper_ref: mpf
-    t_max: int
+    t_max: int  # the last t scanned; the tail bound covers the rest
     tail_bound: mpf = None  # certified sup of |W| beyond t_max
 
 
@@ -362,21 +350,19 @@ def _dlog_key(p: int, k: int, v: int):
     return group.dlog(v % group.modulus)
 
 
-def sup_norm(rep: Representation, t_max: int | None = None,
-             tolerance=mpf("1e-9")) -> SupNormResult:
+def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     """Certified maximum of |W| over the whole group.
 
     Scans levels k <= n/2 of the newvector and of its contragredient (the
     latter covers the levels above n/2 through the Atkin-Lehner symmetry),
     over the complete representative domain; the tail certificates of the
-    coefficient tables bound everything beyond t_max.  Each level is
+    coefficient tables bound everything beyond the window.  Each level is
     screened in complex128 (:func:`_screen`) and only the points that can
     reach the tie threshold of the maximum are synthesized at working
     precision, so the result is the one of synthesizing every point.
     """
     n, p = rep.n, rep.p
-    if t_max is None:
-        t_max = default_t_max(rep)
+    t_max = _window(rep)
     best = mpf(-1)
     # Tied values: the witness is the first of them in (k, t, dlog v) order.
     tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
@@ -385,7 +371,7 @@ def sup_norm(rep: Representation, t_max: int | None = None,
     screened = synthesized = 0
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
         for k in range(n // 2 + 1):
-            tables = tables_for_level(fam, k, t_max)
+            tables = tables_for_level(fam, k)
             entries, n_screened, n_synthesized = _level_values(
                 tables, _char_values_on_units(p, k, mp.prec), -k - n, t_max,
                 best, tie)
@@ -552,25 +538,19 @@ def _tie_floor(best: mpf, tie: mpf) -> float:
 
 def _tail_sup_level(tables, t_max: int) -> mpf:
     """Certified sup over t > t_max of the synthesized value bound
-    sum_mu |c[t,k](mu)|."""
+    sum_mu |c[t,k](mu)|: its value at t_max + 1.
+
+    Every tail bound decreases in t.  Its ``a0 >= a1 d_from`` and
+    ``d_from >= 20``, and the Satake parameters of a unitary representation
+    have ``rho <= 1``, so one step scales it by at most
+    ``(1 + 1/d_from) rho q^(-1/2) <= (21/20)/sqrt(2) < 1``.
+    """
     # Columns without Satake roots have an identically zero tail; adding
     # their exact zeros would change no bit of the sum.
-    tails = [tab.tail for tab in tables if tab.tail.a0 or tab.tail.a1]
     sup = mpf(0)
-    prev = None
-    decreasing_since = 0
-    for s in range(1, 2000):
-        b = mpf(0)
-        for tail in tails:
-            b += tail.coeff_bound(t_max + s)
-        sup = max(sup, b)
-        if prev is not None and b < prev:
-            decreasing_since += 1
-        else:
-            decreasing_since = 0
-        prev = b
-        if b < mpf("1e-40") or (decreasing_since > 6 and b < sup / 2):
-            break
+    for tab in tables:
+        if tab.tail.a0 or tab.tail.a1:
+            sup += tab.tail.coeff_bound(t_max + 1)
     return sup
 
 

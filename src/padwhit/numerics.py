@@ -107,14 +107,6 @@ ONE = RootOfUnity(0, 1)
 MINUS_ONE = RootOfUnity(1, 2)
 
 
-def root_mul(r1: RootOfUnity, r2: RootOfUnity) -> RootOfUnity:
-    return r1 * r2
-
-
-def embed(r: RootOfUnity) -> mpc:
-    return r.embed()
-
-
 @lru_cache(maxsize=4096)
 def _scaled_embed_cached(num: int, order: int, q: int, s: int, prec: int) -> mpc:
     return _embed_cached(num, order, prec) * mp.power(q, -mpf(s) / 2)

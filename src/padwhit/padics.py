@@ -177,10 +177,6 @@ class PAdicApprox:
         return f"PAdicApprox(p={self.p}, {self.p}^{self.t} * {self.unit} mod p^{self.K})"
 
 
-def decompose_rational(x, field: LocalFieldData, K: int) -> PAdicApprox:
-    return PAdicApprox.from_rational(field.p, x, K)
-
-
 def psi_eval(x: PAdicApprox) -> RootOfUnity:
     """Additive character of conductor Z_p: ``e^{2 pi i {x}_p}``.
 

@@ -34,7 +34,6 @@ from .engine import (
     coefficient_table,
     contragredient_of,
     conjugate_value,
-    default_t_max,
     lambda_sq_sum,
     lower_bound_witness,
     solve_column,
@@ -300,7 +299,7 @@ def check_support(rep: Representation) -> CheckReport:
     )
     n, p = rep.n, rep.p
     for k in range(n + 1):
-        tabs = tables_for_level(rep, k, default_t_max(rep))
+        tabs = tables_for_level(rep, k)
         for delta in (1, 2, 3):
             t = -k - n - delta
             val = mpc(0)
@@ -349,11 +348,10 @@ def check_dual_tables(rep: Representation) -> CheckReport:
     )
     dual = contragredient_of(rep)
     n = rep.n
-    t_max = default_t_max(rep)
     for k in range(n // 2 + 1):
         for mu in characters_mod(rep.p, k):
-            direct = coefficient_table(dual, k, mu, t_max)
-            via_conj = _conjugate_coefficient_table(rep, k, mu, t_max)
+            direct = coefficient_table(dual, k, mu)
+            via_conj = _conjugate_coefficient_table(rep, k, mu)
             degrees = set(direct.coeffs) | set(via_conj)
             for t in sorted(degrees):
                 report.record(
@@ -364,11 +362,11 @@ def check_dual_tables(rep: Representation) -> CheckReport:
 
 
 def _conjugate_coefficient_table(rep: Representation, k: int,
-                                 mu: UnitCharacter, t_max: int) -> dict:
+                                 mu: UnitCharacter) -> dict:
     """Solve the dual functional-equation identity directly: twist data of
     the contragredient, with the conjugate diagonal branch of ``rep``."""
     return solve_column(contragredient_of(rep), k, mu,
-                        rep.diagonal_ratio(conjugate=True), t_max).coeffs
+                        rep.diagonal_ratio(conjugate=True)).coeffs
 
 
 def check_diagonal_and_reduction(rep: Representation, seed: int = 29) -> CheckReport:
@@ -496,7 +494,7 @@ def check_parseval(rep: Representation, seed: int = 11) -> CheckReport:
     n, p = rep.n, rep.p
     rng = random.Random(seed)
     for k in range(n // 2 + 1):
-        tabs = tables_for_level(rep, k, default_t_max(rep))
+        tabs = tables_for_level(rep, k)
         support = sorted({t for tab in tabs for t in tab.coeffs})
         pick = support if len(support) <= 6 else rng.sample(support, 6)
         units = unit_group(p, k).units()
@@ -530,7 +528,7 @@ def check_parseval(rep: Representation, seed: int = 11) -> CheckReport:
     return report
 
 
-def check_main_theorem(family, t_max: int | None = None) -> CheckReport:
+def check_main_theorem(family) -> CheckReport:
     """Certified sup-norms against the two-sided reference bounds, with the
     witness construction checked in the aligned-phase regime."""
     report = CheckReport(
@@ -543,7 +541,7 @@ def check_main_theorem(family, t_max: int | None = None) -> CheckReport:
     )
     two_thirds = mpf(2) / 3
     for rep in family:
-        res = sup_norm(rep, t_max=t_max)
+        res = sup_norm(rep)
         report.record_bool(res.certified, f"certification {rep.spec_string()}")
         lower, upper = res.lower_ref, res.upper_ref
         dev = mpf(0)
@@ -566,7 +564,7 @@ def check_main_theorem(family, t_max: int | None = None) -> CheckReport:
     return report
 
 
-def check_representation(rep: Representation, t_max: int | None = None) -> CheckReport:
+def check_representation(rep: Representation) -> CheckReport:
     """Aggregate per-representation check.
 
     Supercuspidal descriptors run the structural subset only: identities
@@ -691,7 +689,7 @@ def check_supercuspidal_structure(rep: SupercuspidalOracle,
 
 
 def run_suite(p_list=(2, 3, 5), a_max: int = 3, nmax: int = 3,
-              t_max: int | None = None, suites=("gl1", "representation", "main")):
+              suites=("gl1", "representation", "main")):
     """Run the selected check groups; returns a list of CheckReport."""
     reports: list[CheckReport] = []
     if "gl1" in suites:
@@ -704,12 +702,12 @@ def run_suite(p_list=(2, 3, 5), a_max: int = 3, nmax: int = 3,
         family.extend(standard_family(p, nmax))
     if "representation" in suites:
         for rep in family:
-            reports.append(check_representation(rep, t_max))
+            reports.append(check_representation(rep))
         for p in p_list:
             oracle = synthetic_oracle(p, max(2, min(nmax, 4)), seed=2)
             reports.append(check_supercuspidal_structure(oracle))
     if "main" in suites:
-        reports.append(check_main_theorem(family, t_max))
+        reports.append(check_main_theorem(family))
     return reports
 
 

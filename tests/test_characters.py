@@ -7,7 +7,6 @@ from mpmath import mp, mpc, mpf
 from padwhit.characters import (
     ExtendedCharacter,
     characters_mod,
-    conductor_product,
     critical_unit,
     epsilon_factor,
     format_char,
@@ -71,11 +70,11 @@ def test_char_eval_multiplicative():
 
 def test_conductor_product_examples():
     q = quad3()
-    assert conductor_product(q, q) == 0
+    assert (q * q).conductor == 0
     mu = make_character(3, 2, [1])
-    assert conductor_product(mu, q) == 2
+    assert (mu * q).conductor == 2
     triv = make_character(3, 0, [])
-    assert conductor_product(triv, mu) == mu.conductor
+    assert (triv * mu).conductor == mu.conductor
 
 
 def test_conductor_product_brute():

@@ -197,5 +197,19 @@ def test_verify_cli_pass_and_canary(tmp_path, capsys):
     assert "[FAIL]" in err
 
 
+def test_tmax_is_refused(capsys):
+    # Columns are stored through a fixed window and read off their partial
+    # fractions beyond it, so there is no table depth to choose.
+    for argv in (
+        ["value", "--ps", "3^1:1@0/1,3^0:0@0/1", "--t", "0", "--k", "0"],
+        ["scan", "--p", "3", "--nmax", "1"],
+        ["verify", "--suite", "gl1", "--p", "3", "--amax", "1"],
+    ):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--tmax", "5"]) == 2
+        assert "--tmax" in capsys.readouterr().err
+
+
 def test_usage_exit_code(capsys):
     assert main(["value", "--t", "0", "--k", "0"]) == 2  # no descriptor

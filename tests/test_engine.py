@@ -20,14 +20,11 @@ from padwhit.characters import (
 from padwhit.engine import (
     Mat2,
     Representative,
-    TruncationError,
     atkin_lehner_reduce,
     coefficient_table,
     conjugate_value,
     contragredient_of,
     decompose_matrix,
-    default_t_max,
-    lambda_norm,
     lambda_sq_sum,
     lower_bound_witness,
     reduce_matrix,
@@ -121,13 +118,40 @@ def test_support_vanishing(rep):
                                            direct=True)) < TOL_PT
 
 
-def test_explicit_tmax_guard():
-    rep = small_reps()[0]
-    with pytest.raises(TruncationError):
-        whittaker_value(rep, Representative(99, 0, 1), t_max=10)
-    # without an explicit bound the tables auto-extend
-    val = whittaker_value(rep, Representative(default_t_max(rep) + 3, 0, 1))
-    assert abs(val) < 1
+@pytest.mark.parametrize("spec, k, double", [
+    ("ps:3^1:1@0/1,3^0:0@0/1", 0, False),  # one root: unramified chi2
+    ("ps:5^1:1@1/2,5^0:0@1/2", 1, False),
+    ("st:3^0:0@0/1", 0, False),  # Steinberg roots
+    ("st:3^1:1@0/1", 1, False),
+    ("st:2^2:1@0/1", 2, False),
+    ("ps:3^1:1@0/1,3^1:1@0/1", 1, True),  # double root
+])
+def test_values_past_window_match_deeper_expansion(monkeypatch, spec, k, double):
+    # Past the window a column is read off its partial fractions; solving
+    # it with expand_geometric run 40 degrees deeper gives the same values.
+    kind, payload = spec.split(":", 1)
+    rep = parse_rep(kind, payload)
+    window = engine._window(rep)
+    tables = tables_for_level(rep, k)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_window", lambda rep: 2 * rep.n + 60)
+        deeper = [coefficient_table(rep, k, tab.mu) for tab in tables]
+    for tab, deep in zip(tables, deeper):
+        assert tab.coeffs == {t: c for t, c in deep.coeffs.items() if t <= window}
+        for t in range(window + 1, window + 41):
+            want = deep.value(t)
+            assert abs(tab.value(t) - want) <= mpf("1e-30") * abs(want)
+    # The root the case is meant to cover is there: (b0, b1, a) with
+    # b1 != 0 exactly for a double root.
+    shapes = {(len(tab.parts), tab.parts[0][1] != 0)
+              for tab in tables if tab.parts}
+    assert (1, double) in shapes
+    # whittaker_value past the window synthesizes the same coefficients.
+    v = unit_group(rep.p, k).units()[-1]
+    want = sum((deep.value(window + 3) * deep.mu.eval_unit(v).embed()
+                for deep in deeper), mpc(0))
+    got = whittaker_value(rep, Representative(window + 3, k, v), direct=True)
+    assert abs(got - want) <= mpf("1e-30") * abs(want)
 
 
 def _random_triples(rep, count, seed):
@@ -269,7 +293,7 @@ def test_parseval_two_ways():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     n, p = rep.n, rep.p
     for k in range(n // 2 + 1):
-        tabs = tables_for_level(rep, k, default_t_max(rep))
+        tabs = tables_for_level(rep, k)
         units = unit_group(p, k).units()
         support = sorted({t for tab in tabs for t in tab.coeffs})
         for t in support[:8]:
@@ -280,7 +304,6 @@ def test_parseval_two_ways():
                 mpf(0),
             ) / len(units)
             assert abs(parseval - direct) < TOL_PT
-            assert abs(lambda_norm(rep, t, k) - mp.sqrt(parseval)) < TOL_PT
 
 
 @pytest.mark.parametrize("rep", small_reps(), ids=lambda r: r.spec_string())
@@ -304,15 +327,47 @@ def test_lambda_sum_closed_forms_at_level_zero():
     assert abs(total - mpf(3) / 2) < mpf("1e-9")
 
 
+def _lambda(rep, t, k):
+    """By Parseval, the square mean of |W(g(t,k,.))| over the units."""
+    return mp.sqrt(sum((abs(tab.value(t)) ** 2
+                        for tab in tables_for_level(rep, k)), mpf(0)))
+
+
 def test_lambda_level_symmetry():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     dual = contragredient_of(rep)
     n = rep.n
     for k in range(n // 2 + 1):
         for t in range(-k - n, 4):
-            a = lambda_norm(rep, t, k)
-            b = lambda_norm(dual, t + 2 * k - n, n - k)
+            a = _lambda(rep, t, k)
+            b = _lambda(dual, t + 2 * k - n, n - k)
             assert abs(a - b) < TOL
+
+
+def _looped_lambda_tail(rep, k):
+    """lambda_sq_sum's tail as a loop over the squared tail bounds, stopped
+    once a term falls below 1e-60."""
+    t_max = engine._window(rep)
+    tail = mpf(0)
+    for tab in tables_for_level(rep, k):
+        for s in range(1, 400):
+            b = tab.tail.coeff_bound(t_max + s)
+            tail += b * b
+            if b * b < mpf("1e-60"):
+                break
+    return tail
+
+
+def test_lambda_sq_sum_closed_form_tail_matches_loop():
+    family = standard_family(2, 3) + standard_family(3, 3)
+    nonzero = 0
+    for rep in family:
+        for k in range(rep.n // 2 + 1):
+            _, tail = lambda_sq_sum(rep, k)
+            want = _looped_lambda_tail(rep, k)
+            assert abs(tail - want) <= mpf("1e-30") * want
+            nonzero += tail > 0
+    assert nonzero > 0
 
 
 def test_sup_norm_steinberg_is_one():
@@ -396,14 +451,14 @@ def _exhaustive_sup_norm_oracle(rep):
     working precision, every column's tail bound summed.  Returns
     (h, witness, certified, tail_bound)."""
     n, p = rep.n, rep.p
-    t_max = default_t_max(rep)
+    t_max = engine._window(rep)
     best = mpf(-1)
     tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
     cands = []
     tail_sup = mpf(0)
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
         for k in range(n // 2 + 1):
-            tables = tables_for_level(fam, k, t_max)
+            tables = tables_for_level(fam, k)
             units, rows, _ = engine._char_values_on_units(p, k, mp.prec)
             index = {mu: i for i, mu in enumerate(characters_mod(p, k))}
             support = sorted({t for tab in tables for t in tab.coeffs})

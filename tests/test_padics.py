@@ -8,25 +8,23 @@ from padwhit.padics import (
     LocalFieldData,
     PAdicApprox,
     PrecisionError,
-    decompose_rational,
     psi_eval,
     unit_group,
 )
 
 
 def test_decompose_rational_examples():
-    F3 = LocalFieldData(3)
-    x = decompose_rational(12, F3, 2)
+    x = PAdicApprox.from_rational(3, 12, 2)
     assert (x.t, x.unit) == (1, 4)
-    x = decompose_rational(Fraction(1, 9), F3, 2)
+    x = PAdicApprox.from_rational(3, Fraction(1, 9), 2)
     assert (x.t, x.unit) == (-2, 1)
-    x = decompose_rational(Fraction(-5, 3), F3, 2)
+    x = PAdicApprox.from_rational(3, Fraction(-5, 3), 2)
     assert (x.t, x.unit) == (-1, 4)
 
 
 def test_decompose_zero_rejected():
     with pytest.raises(ValueError):
-        decompose_rational(0, LocalFieldData(3), 2)
+        PAdicApprox.from_rational(3, 0, 2)
 
 
 def test_field_data():
@@ -52,15 +50,14 @@ def test_psi_requires_precision():
 
 def test_psi_additive():
     rng = random.Random(1)
-    F = LocalFieldData(3)
     for _ in range(200):
         x = Fraction(rng.randint(-40, 40), 3 ** rng.randint(0, 3))
         y = Fraction(rng.randint(-40, 40), 3 ** rng.randint(0, 3))
         if x == 0 or y == 0 or x + y == 0:
             continue
-        px = psi_eval(decompose_rational(x, F, 8))
-        py = psi_eval(decompose_rational(y, F, 8))
-        pxy = psi_eval(decompose_rational(x + y, F, 8))
+        px = psi_eval(PAdicApprox.from_rational(3, x, 8))
+        py = psi_eval(PAdicApprox.from_rational(3, y, 8))
+        pxy = psi_eval(PAdicApprox.from_rational(3, x + y, 8))
         assert px * py == pxy
 
 
@@ -104,22 +101,22 @@ def test_unit_enumeration_deterministic():
 
 def test_padic_arithmetic_against_rationals():
     rng = random.Random(9)
-    F = LocalFieldData(5)
     for _ in range(150):
         x = Fraction(rng.randint(1, 300), 5 ** rng.randint(0, 2))
         y = Fraction(rng.randint(1, 300), 5 ** rng.randint(0, 2))
         K = 6
-        X, Y = decompose_rational(x, F, K), decompose_rational(y, F, K)
-        P = decompose_rational(x * y, F, K)
+        X = PAdicApprox.from_rational(5, x, K)
+        Y = PAdicApprox.from_rational(5, y, K)
+        P = PAdicApprox.from_rational(5, x * y, K)
         got = X * Y
         assert got.t == P.t
         assert got.unit % 5 ** got.K == P.unit % 5**got.K
-        S = decompose_rational(x + y, F, K)
+        S = PAdicApprox.from_rational(5, x + y, K)
         got = X + Y
         assert got.t == S.t
         mod = 5 ** min(got.K, S.K)
         assert got.unit % mod == S.unit % mod
-        Q = decompose_rational(x / y, F, K)
+        Q = PAdicApprox.from_rational(5, x / y, K)
         got = X / Y
         assert got.t == Q.t
         assert got.unit % 5 ** got.K == Q.unit % 5**got.K

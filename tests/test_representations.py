@@ -6,7 +6,6 @@ from mpmath import mp, mpc, mpf
 from padwhit.characters import (
     ExtendedCharacter,
     characters_mod,
-    conductor_product,
     epsilon_factor,
     make_character,
 )
@@ -101,7 +100,7 @@ def test_twist_data_conductor_arithmetic():
         rep = PrincipalSeries(ExtendedCharacter(chi1), ExtendedCharacter(chi2))
         for mu in characters_mod(p, 3):
             td = rep.twist_data(mu)
-            want = conductor_product(mu, chi1) + conductor_product(mu, chi2)
+            want = (mu * chi1).conductor + (mu * chi2).conductor
             assert td.A == want
             assert abs(abs(td.eps) - 1) < TOL
 
