@@ -173,7 +173,6 @@ def _units_array(p: int, M: int) -> np.ndarray:
     return r[(r % p) != 0] if M >= 1 else np.array([1], dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
 def _char_phase_data(mu: UnitCharacter):
     """(denominator d, numer array over residues mod p^conductor) for mu."""
     if mu.conductor == 0:

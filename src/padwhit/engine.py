@@ -192,13 +192,14 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
     d_last = _window(rep) + td.A
     theta, parts = expand_geometric(terms, tuple(roots), d_last)
     coeffs = {d - td.A: c * mp.power(p, -mpf(d) / 2) for d, c in theta.items()}
-    rho_max = max((a.modulus() for a in td.l_num), default=mpf(0))
+    # The roots left after the cancellation; none: an identically zero tail.
+    rho = max((a.modulus() for a in roots), default=mpf(0))
     a0 = a1 = mpf(0)
     for b0, b1, a in parts:
         amp = abs(a) ** d_last
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
-    tail = TailBound(a0, a1, rho_max, d_last, td.A, p)
+    tail = TailBound(a0, a1, rho, d_last, td.A, p)
     return CoefficientTable(k, mu, td.A, coeffs, tail, parts)
 
 
@@ -207,19 +208,53 @@ def contragredient_of(rep: Representation) -> Representation:
     return rep.contragredient()
 
 
-# Bounded, so that a long scan does not keep every table it ever solved; the
+class Level:
+    """The columns of one level k, in :func:`characters_mod` order, indexed
+    by ``t``.
+
+    ``by_t[t]`` lists the nonzero stored coefficients ``(i, c)`` at ``t`` in
+    column order; ``tails`` lists ``(i, column)`` for the columns with
+    partial fractions, the only ones nonzero past ``window``.
+    """
+
+    __slots__ = ("columns", "by_t", "tails", "window")
+
+    def __init__(self, columns, window: int):
+        self.columns = tuple(columns)
+        self.window = window
+        by_t: dict = {}
+        for i, tab in enumerate(self.columns):
+            for t, c in tab.coeffs.items():
+                if c:
+                    by_t.setdefault(t, []).append((i, c))
+        self.by_t = {t: tuple(live) for t, live in by_t.items()}
+        self.tails = tuple((i, tab) for i, tab in enumerate(self.columns)
+                           if tab.parts)
+
+    def live(self, t: int):
+        """The nonzero ``(i, c[t,k](mu_i))``, in column order."""
+        if t <= self.window:
+            return self.by_t.get(t, ())
+        live = []
+        for i, tab in self.tails:
+            c = tab.value(t)
+            if c != 0:
+                live.append((i, c))
+        return live
+
+
+# Bounded, so that a long scan does not keep every level it ever solved; the
 # largest working set in use, ~400 descriptors of conductor <= 4 queried at
 # random points, holds about 1,200 levels.
 @lru_cache(maxsize=2048)
 def _tables_for_level_at(rep: Representation, k: int, prec: int,
-                         eps_perturbation) -> tuple:
-    return tuple(
-        coefficient_table(rep, k, mu) for mu in characters_mod(rep.p, k)
-    )
+                         eps_perturbation) -> Level:
+    return Level((coefficient_table(rep, k, mu)
+                  for mu in characters_mod(rep.p, k)), _window(rep))
 
 
-def tables_for_level(rep: Representation, k: int) -> tuple:
-    """Coefficient tables for every unit character of level <= k, cached per
+def tables_for_level(rep: Representation, k: int) -> Level:
+    """The :class:`Level` of every unit character of level <= k, cached per
     working precision and epsilon perturbation."""
     return _tables_for_level_at(rep, k, mp.prec, epsilon_perturbation())
 
@@ -238,6 +273,27 @@ def _char_values_on_units(p: int, k: int, prec: int):
     return units, rows, table
 
 
+def _unit_index(p: int, k: int, v: int) -> int:
+    """The position of the unit ``v mod p^k`` in ``unit_group(p, k).units()``,
+    which enumerates the units in dlog-lexicographic order: the mixed-radix
+    number of the dlog of ``v``."""
+    group = unit_group(p, k)
+    j = 0
+    u = v % group.modulus
+    for arr, (_, order) in zip(group.dlog_arrays(), group.generators):
+        j = j * order + int(arr[u])
+    return j
+
+
+# The Atkin-Lehner data of a descriptor: its contragredient and the
+# contragredient's root number.  Keyed like the level cache, so a perturbed
+# epsilon factor never outlives its perturbation.
+@lru_cache(maxsize=1024)
+def _dual_at(rep: Representation, prec: int, eps_perturbation):
+    dual = contragredient_of(rep)
+    return dual, dual.twist_data(trivial_character(rep.p)).eps
+
+
 def _validate_rep_triple(rep: Representation, r: Representative) -> None:
     if not 0 <= r.k <= rep.n:
         raise ValueError(f"level index k={r.k} outside [0, {rep.n}]")
@@ -250,7 +306,9 @@ def whittaker_value(rep: Representation, r: Representative,
     """Value of the normalized newvector at the representative ``r``.
 
     Fourier synthesis over the level-k character group when ``2k <= n`` (or
-    when forced by ``direct``); otherwise one Atkin-Lehner reduction to the
+    when forced by ``direct``): the sum of ``c[t,k](mu) mu(v)`` over the
+    characters live at ``t``, in column order, with ``mu(v)`` read from the
+    cached character table.  Otherwise one Atkin-Lehner reduction to the
     contragredient at level ``n - k``.
     """
     _validate_rep_triple(rep, r)
@@ -258,11 +316,12 @@ def whittaker_value(rep: Representation, r: Representative,
     if r.t < -r.k - n:
         return mpc(0)
     if 2 * r.k <= n or direct:
+        p, k = rep.p, r.k
+        rows = _char_values_on_units(p, k, mp.prec)[1]
+        j = _unit_index(p, k, r.v)
         total = mpc(0)
-        for tab in tables_for_level(rep, r.k):
-            c = tab.value(r.t)
-            if c != 0:
-                total += c * tab.mu.eval_unit(r.v).embed()
+        for i, c in tables_for_level(rep, k).live(r.t):
+            total += c * rows[i][j]
         return total
     phase, reduced, dual = atkin_lehner_reduce(rep, r)
     return phase * whittaker_value(dual, reduced)
@@ -280,8 +339,7 @@ def atkin_lehner_reduce(rep: Representation, r: Representative):
     newvector W~; the phase has modulus 1."""
     _validate_rep_triple(rep, r)
     n, p = rep.n, rep.p
-    dual = contragredient_of(rep)
-    eps_dual = dual.twist_data(trivial_character(p)).eps
+    dual, eps_dual = _dual_at(rep, mp.prec, epsilon_perturbation())
     phase_root = rep.omega.eval_unit(r.v).inverse()
     s = r.t + r.k
     if s < 0:
@@ -301,13 +359,13 @@ def lambda_sq_sum(rep: Representation, k: int):
     ``q^(-d_from) sum_s (a0 + a1 s)^2 x^s`` with ``x = rho^2 / q < 1``,
     the closed form below.
     """
-    tables = tables_for_level(rep, k)
+    columns = tables_for_level(rep, k).columns
     total = mpf(0)
-    for tab in tables:
+    for tab in columns:
         for c in tab.coeffs.values():
             total += abs(c) ** 2
     tail = mpf(0)
-    for tab in tables:
+    for tab in columns:
         b = tab.tail
         if not (b.a0 or b.a1):
             continue
@@ -371,9 +429,9 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     screened = synthesized = 0
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
         for k in range(n // 2 + 1):
-            tables = tables_for_level(fam, k)
+            level = tables_for_level(fam, k)
             entries, n_screened, n_synthesized = _level_values(
-                tables, _char_values_on_units(p, k, mp.prec), -k - n, t_max,
+                level, _char_values_on_units(p, k, mp.prec), -k - n, t_max,
                 best, tie)
             screened += n_screened
             synthesized += n_synthesized
@@ -382,7 +440,7 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
                     best = value
                 if value >= best * tie:
                     cands.append((value, is_dual, t, k, v))
-            tail_sup = max(tail_sup, _tail_sup_level(tables, t_max))
+            tail_sup = max(tail_sup, _tail_sup_level(level.columns, t_max))
     log.debug("sup_norm %s: %d points screened in complex128, %d "
               "synthesized at %d bits", rep.spec_string(), screened,
               synthesized, mp.prec)
@@ -413,14 +471,14 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
                          lower, upper, t_max, tail_sup)
 
 
-def _level_values(tables, char_values, lo: int, hi: int, best: mpf,
+def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
                   tie: mpf):
     """Working-precision values ``(|W(g(t,k,v))|, t, v)`` of one level, in
     (t, dlog v) order, for every point with ``lo <= t <= hi`` that can reach
     the tie threshold ``best * tie`` of the maximum (``best``: the largest
     value found so far); then how many points with two or more live
     characters were screened in complex128 and how many synthesized.
-    ``tables[i]`` is the column of the character of row i of
+    ``level.columns[i]`` is the column of the character of row i of
     ``char_values``, as :func:`tables_for_level` builds them.
 
     Points with one live character are read off exactly.  The others are
@@ -431,15 +489,11 @@ def _level_values(tables, char_values, lo: int, hi: int, best: mpf,
     level to working precision.
     """
     units, rows, table = char_values
-    by_t: dict = {}
-    for i, tab in enumerate(tables):
-        for t, c in tab.coeffs.items():
-            if lo <= t <= hi and c:
-                by_t.setdefault(t, []).append((i, c))
-    order = sorted(by_t)
+    by_t = level.by_t
+    order = sorted(t for t in by_t if lo <= t <= hi)
     multi = [by_t[t] for t in order if len(by_t[t]) > 1]
     # A single character: |W| is the same for every v.
-    single = {t: abs(live[0][1]) for t, live in by_t.items() if len(live) == 1}
+    single = {t: abs(by_t[t][0][1]) for t in order if len(by_t[t]) == 1}
     best = max([best, *single.values()])
     screen = _screen(multi, table) if multi else None
     exact: dict = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
@@ -128,7 +129,7 @@ class PrincipalSeries(Representation):
     def n(self) -> int:
         return self.chi1.conductor + self.chi2.conductor
 
-    @property
+    @cached_property
     def omega(self) -> UnitCharacter:
         return self.chi1.unit_part * self.chi2.unit_part
 
@@ -193,7 +194,7 @@ class SteinbergTwist(Representation):
     def n(self) -> int:
         return max(1, 2 * self.xi.conductor)
 
-    @property
+    @cached_property
     def omega(self) -> UnitCharacter:
         return self.xi.unit_part * self.xi.unit_part
 
@@ -255,7 +256,7 @@ class SupercuspidalOracle(Representation):
                 "central character too ramified for a supercuspidal "
                 f"(m = {self.omega_.conductor} > n/2 = {self.n_ / 2})"
             )
-        table = self._table()
+        table = self._table
         for mu in characters_mod(self.p, self.n_):
             if mu not in table:
                 raise ValueError(f"oracle is missing the twist key {format_char(mu)}")
@@ -265,6 +266,7 @@ class SupercuspidalOracle(Representation):
                     f"oracle epsilon at {format_char(mu)} is not unit modulus"
                 )
 
+    @cached_property
     def _table(self) -> dict:
         return {mu: (A, eps) for mu, A, eps in self.twists}
 
@@ -281,7 +283,7 @@ class SupercuspidalOracle(Representation):
         return True
 
     def twist_data(self, mu: UnitCharacter) -> TwistData:
-        table = self._table()
+        table = self._table
         if mu not in table:
             raise KeyError(f"oracle has no entry for twist {format_char(mu)}")
         A, eps = table[mu]
@@ -289,7 +291,7 @@ class SupercuspidalOracle(Representation):
 
     def contragredient(self) -> "SupercuspidalOracle":
         omega_inv = self.omega_.inverse()
-        table = self._table()
+        table = self._table
         new = []
         for mu, _, _ in self.twists:
             key = mu * omega_inv

@@ -299,7 +299,7 @@ def check_support(rep: Representation) -> CheckReport:
     )
     n, p = rep.n, rep.p
     for k in range(n + 1):
-        tabs = tables_for_level(rep, k)
+        tabs = tables_for_level(rep, k).columns
         for delta in (1, 2, 3):
             t = -k - n - delta
             val = mpc(0)
@@ -494,14 +494,14 @@ def check_parseval(rep: Representation, seed: int = 11) -> CheckReport:
     n, p = rep.n, rep.p
     rng = random.Random(seed)
     for k in range(n // 2 + 1):
-        tabs = tables_for_level(rep, k)
-        support = sorted({t for tab in tabs for t in tab.coeffs})
+        by_t = tables_for_level(rep, k).by_t
+        support = sorted(by_t)
         pick = support if len(support) <= 6 else rng.sample(support, 6)
         units = unit_group(p, k).units()
         for t in sorted(pick):
             parseval = mpf(0)
-            for tab in tabs:
-                parseval += abs(tab.value(t)) ** 2
+            for _, c in by_t[t]:
+                parseval += abs(c) ** 2
             direct = mpf(0)
             for v in units:
                 direct += abs(whittaker_value(rep, Representative(t, k, v))) ** 2

@@ -132,7 +132,7 @@ def test_values_past_window_match_deeper_expansion(monkeypatch, spec, k, double)
     kind, payload = spec.split(":", 1)
     rep = parse_rep(kind, payload)
     window = engine._window(rep)
-    tables = tables_for_level(rep, k)
+    tables = tables_for_level(rep, k).columns
     with monkeypatch.context() as m:
         m.setattr(engine, "_window", lambda rep: 2 * rep.n + 60)
         deeper = [coefficient_table(rep, k, tab.mu) for tab in tables]
@@ -293,7 +293,7 @@ def test_parseval_two_ways():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     n, p = rep.n, rep.p
     for k in range(n // 2 + 1):
-        tabs = tables_for_level(rep, k)
+        tabs = tables_for_level(rep, k).columns
         units = unit_group(p, k).units()
         support = sorted({t for tab in tabs for t in tab.coeffs})
         for t in support[:8]:
@@ -330,7 +330,7 @@ def test_lambda_sum_closed_forms_at_level_zero():
 def _lambda(rep, t, k):
     """By Parseval, the square mean of |W(g(t,k,.))| over the units."""
     return mp.sqrt(sum((abs(tab.value(t)) ** 2
-                        for tab in tables_for_level(rep, k)), mpf(0)))
+                        for tab in tables_for_level(rep, k).columns), mpf(0)))
 
 
 def test_lambda_level_symmetry():
@@ -349,7 +349,7 @@ def _looped_lambda_tail(rep, k):
     once a term falls below 1e-60."""
     t_max = engine._window(rep)
     tail = mpf(0)
-    for tab in tables_for_level(rep, k):
+    for tab in tables_for_level(rep, k).columns:
         for s in range(1, 400):
             b = tab.tail.coeff_bound(t_max + s)
             tail += b * b
@@ -439,6 +439,121 @@ def test_canary_leaves_no_trace_in_table_cache():
     assert warmed == perturbed
 
 
+def test_canary_leaves_no_trace_in_atkin_lehner_cache():
+    # The phase carries the contragredient's root number, a ramified epsilon
+    # factor here, so the canary moves it.
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
+    r = Representative(-3, 2, 1)
+    plain = atkin_lehner_reduce(rep, r)[0]  # warm, unperturbed
+    with perturb_epsilon(1e-3):
+        warm = atkin_lehner_reduce(rep, r)[0]
+    engine._dual_at.cache_clear()
+    with perturb_epsilon(1e-3):
+        cold = atkin_lehner_reduce(rep, r)[0]
+    assert warm == cold
+    assert abs(warm - plain) > mpf("1e-4")
+    assert atkin_lehner_reduce(rep, r)[0] == plain
+
+
+def _per_column_atkin_lehner(rep, r):
+    """atkin_lehner_reduce as it was before its cache: the contragredient's
+    root number rebuilt on every call."""
+    n, p = rep.n, rep.p
+    dual = contragredient_of(rep)
+    eps_dual = dual.twist_data(trivial_character(p)).eps
+    phase_root = rep.omega.eval_unit(r.v).inverse()
+    s = r.t + r.k
+    if s < 0:
+        mod = p**-s
+        phase_root = phase_root * RootOfUnity(-pow(r.v, -1, mod), mod)
+    k2 = n - r.k
+    reduced = Representative(r.t + 2 * r.k - n, k2, (-r.v) % (p ** max(k2, 1)))
+    return eps_dual * phase_root.embed(), reduced, dual
+
+
+def _per_column_value(rep, r, direct=False):
+    """whittaker_value as it was before the level index: every column of the
+    level visited, its value at t tested against 0, its character evaluated
+    at v."""
+    n = rep.n
+    if r.t < -r.k - n:
+        return mpc(0)
+    if 2 * r.k <= n or direct:
+        total = mpc(0)
+        for tab in tables_for_level(rep, r.k).columns:
+            c = tab.value(r.t)
+            if c != 0:
+                total += c * tab.mu.eval_unit(r.v).embed()
+        return total
+    phase, reduced, dual = _per_column_atkin_lehner(rep, r)
+    return phase * _per_column_value(dual, reduced)
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
+def test_whittaker_value_matches_per_column_loop(bits):
+    family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
+    rng = random.Random(bits)
+    old = get_precision()
+    try:
+        set_precision(bits)
+        for rep in family:
+            n, p = rep.n, rep.p
+            window = engine._window(rep)
+            for k in range(n + 1):
+                kn = max(min(k, n - k), 1)
+                # Below the support, inside the window, at its edge and past it.
+                ts = {-k - n - 1, -k - n, rng.randint(-k - n, n), window,
+                      window + 1, window + rng.randint(2, 9)}
+                for t in sorted(ts):
+                    r = Representative(t, k, rng.choice(unit_group(p, kn).units())
+                                       + rng.randint(0, 2) * p**n)
+                    spec = (rep.spec_string(), r)
+                    assert whittaker_value(rep, r) == _per_column_value(rep, r), spec
+                    if 2 * k > n:
+                        assert (whittaker_value(rep, r, direct=True)
+                                == _per_column_value(rep, r, direct=True)), spec
+                        assert atkin_lehner_reduce(rep, r) == \
+                            _per_column_atkin_lehner(rep, r), spec
+    finally:
+        set_precision(old)
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (2, 2), (2, 4), (3, 1),
+                                  (3, 3), (5, 2)])
+def test_unit_index_is_position_in_units(p, k):
+    units = unit_group(p, k).units()
+    assert [engine._unit_index(p, k, u) for u in units] == list(range(len(units)))
+    # Any representative of the class mod p^k has the same index.
+    assert [engine._unit_index(p, k, u + 3 * p**k) for u in units] \
+        == list(range(len(units)))
+
+
+def test_level_indexes_the_stored_coefficients_by_t():
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
+    for k in range(rep.n + 1):
+        level = tables_for_level(rep, k)
+        assert [tab.mu for tab in level.columns] == list(characters_mod(3, k))
+        regrouped: dict = {}
+        for i, tab in enumerate(level.columns):
+            for t, c in tab.coeffs.items():
+                regrouped.setdefault(t, []).append((i, c))
+        assert {t: list(live) for t, live in level.by_t.items()} == regrouped
+        assert [i for i, _ in level.tails] == [
+            i for i, tab in enumerate(level.columns) if tab.parts]
+
+
+def test_tail_rho_comes_from_the_roots_left_after_cancellation():
+    rep = parse_rep("ps", "3^2:1@0/1,3^0:0@0/1")
+    # k = 1, trivial mu: the only Satake root cancels against a dual factor.
+    tab = coefficient_table(rep, 1, trivial_character(3))
+    assert tab.coeffs and not tab.parts
+    assert tab.tail.rho == 0
+    # k = 0: the root remains; unitary chi2 puts it on the unit circle.
+    tab = coefficient_table(rep, 0, trivial_character(3))
+    assert tab.parts
+    assert tab.tail.rho == 1
+
+
 def test_sup_norm_deterministic_witness():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     r1 = sup_norm(rep)
@@ -458,7 +573,7 @@ def _exhaustive_sup_norm_oracle(rep):
     tail_sup = mpf(0)
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
         for k in range(n // 2 + 1):
-            tables = tables_for_level(fam, k)
+            tables = tables_for_level(fam, k).columns
             units, rows, _ = engine._char_values_on_units(p, k, mp.prec)
             index = {mu: i for i, mu in enumerate(characters_mod(p, k))}
             support = sorted({t for tab in tables for t in tab.coeffs})
@@ -566,9 +681,10 @@ def test_screen_falls_back_on_non_finite_coefficient():
     tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
 
     def level(coeffs):
-        tables = [engine.CoefficientTable(k, mu, 0, c, None, hi)
-                  for mu, c in zip(characters_mod(p, k), coeffs)]
-        return engine._level_values(tables, char_values, lo, hi, mpf(-1), tie)
+        level = engine.Level([engine.CoefficientTable(k, mu, 0, c, None, [])
+                              for mu, c in zip(characters_mod(p, k), coeffs)],
+                             hi)
+        return engine._level_values(level, char_values, lo, hi, mpf(-1), tie)
 
     entries, screened, synthesized = level(coeffs)
     assert screened == (hi - lo + 1) * len(units)
@@ -596,11 +712,11 @@ def test_screen_keeps_near_ties():
         char_values = engine._char_values_on_units(p, k, mp.prec)
         units = char_values[0]
         s = 1 - mpf("1e-12")
-        tables = [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)},
-                                          None, 1)
-                  for mu in characters_mod(p, k)]
+        level = engine.Level(
+            [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)}, None, [])
+             for mu in characters_mod(p, k)], 1)
         tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
-        entries, screened, _ = engine._level_values(tables, char_values, 0, 1,
+        entries, screened, _ = engine._level_values(level, char_values, 0, 1,
                                                     mpf(-1), tie)
         assert screened == 2 * len(units)
         top = max(value for value, _, _ in entries)

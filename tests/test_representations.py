@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -226,3 +227,19 @@ def test_families_deterministic_and_sized():
     st = steinberg_family(3, 1)
     assert len(st) == 4  # (trivial, quad) x (+1, -1)
     assert all(2 * r.m <= r.n for r in st)
+
+
+def test_omega_and_oracle_table_are_built_once():
+    ps = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
+    st = SteinbergTwist(ext(3, 1, [1]))
+    for rep in (ps, st):
+        assert rep.omega is rep.omega
+        # The cached value travels with a pickled descriptor and does not
+        # enter equality or hashing.
+        clone = pickle.loads(pickle.dumps(rep))
+        assert clone == rep and hash(clone) == hash(rep)
+        assert clone.omega == rep.omega
+    sc = synthetic_oracle(3, 2, seed=2)
+    assert sc._table is sc._table
+    mu = characters_mod(3, 2)[1]
+    assert sc.twist_data(mu).eps == dict((m, e) for m, _, e in sc.twists)[mu]
