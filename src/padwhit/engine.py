@@ -63,7 +63,7 @@ def _zeta1(p: int) -> mpf:
     return mpf(p) / (p - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailBound:
     """Certified bound on trailing Fourier coefficients.
 
@@ -96,7 +96,7 @@ class CoefficientTable:
     __slots__ = ("k", "mu", "A", "coeffs", "tail", "parts")
 
     def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict,
-                 tail: TailBound, parts: list):
+                 tail: TailBound, parts: tuple):
         self.k = k
         self.mu = mu
         self.A = A
@@ -140,7 +140,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
     p = rep.p
     if mu.conductor > k:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, 0, p)
-        return CoefficientTable(k, mu, 0, {}, zero_tail, [])
+        return CoefficientTable(k, mu, 0, {}, zero_tail, ())
     td = rep.twist_data(mu)
     zeta1 = _zeta1(p)
     duals = [g.shift(2) for g in td.l_den]
@@ -172,7 +172,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
 
     if coeff == 0:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, td.A, p)
-        return CoefficientTable(k, mu, td.A, {}, zero_tail, [])
+        return CoefficientTable(k, mu, td.A, {}, zero_tail, ())
 
     roots = list(td.l_num)
     for c in list(duals):
@@ -200,7 +200,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
     tail = TailBound(a0, a1, rho, d_last, td.A, p)
-    return CoefficientTable(k, mu, td.A, coeffs, tail, parts)
+    return CoefficientTable(k, mu, td.A, coeffs, tail, tuple(parts))
 
 
 @lru_cache(maxsize=None)

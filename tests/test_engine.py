@@ -681,7 +681,7 @@ def test_screen_falls_back_on_non_finite_coefficient():
     tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
 
     def level(coeffs):
-        level = engine.Level([engine.CoefficientTable(k, mu, 0, c, None, [])
+        level = engine.Level([engine.CoefficientTable(k, mu, 0, c, None, ())
                               for mu, c in zip(characters_mod(p, k), coeffs)],
                              hi)
         return engine._level_values(level, char_values, lo, hi, mpf(-1), tie)
@@ -713,7 +713,7 @@ def test_screen_keeps_near_ties():
         units = char_values[0]
         s = 1 - mpf("1e-12")
         level = engine.Level(
-            [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)}, None, [])
+            [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)}, None, ())
              for mu in characters_mod(p, k)], 1)
         tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
         entries, screened, _ = engine._level_values(level, char_values, 0, 1,
