@@ -279,9 +279,8 @@ def _unit_index(p: int, k: int, v: int) -> int:
     number of the dlog of ``v``."""
     group = unit_group(p, k)
     j = 0
-    u = v % group.modulus
-    for arr, (_, order) in zip(group.dlog_arrays(), group.generators):
-        j = j * order + int(arr[u])
+    for e, (_, order) in zip(group.dlog(v), group.generators):
+        j = j * order + e
     return j
 
 
