@@ -141,6 +141,8 @@ def _sort_key(rep: Representation):
 
 
 def cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     reps: list[Representation] = []
     for p in args.p:
         reps.extend(standard_family(p, args.nmax, args.family))
@@ -303,8 +305,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    set_precision(args.precision_bits)
     try:
+        set_precision(args.precision_bits)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

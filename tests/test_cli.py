@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from mpmath import mp, mpf
 
 from padwhit.cli import main
@@ -167,6 +168,28 @@ def test_scan_jobs_two_exponent_characters(tmp_path, capsys):
                          "--family", "ps", "--jobs", "2", "--out", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, "scan", "--p", "3", "--nmax", "1",
+                           "--jobs", jobs, "--out", str(out))
+    assert code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert not out.exists()
+
+
+def test_precision_below_53_bits_is_a_usage_error(capsys):
+    prec = mp.prec
+    code, out, err = run_cli(
+        capsys, "--precision-bits", "40", "value",
+        "--ps", "3^1:1@0/1,3^0:0@0/1", "--t", "-2", "--k", "1",
+    )
+    assert code == 2
+    assert "precision must be at least 53 bits, got 40" in err
+    assert out == "" and "Traceback" not in err
+    assert mp.prec == prec
 
 
 def test_scan_default_bytes_golden(tmp_path, capsys):
