@@ -18,13 +18,12 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, RootOfUnity, unity_table
+from .numerics import ONE, RootOfUnity, q_power, unity_table
 from .padics import PAdicApprox, unit_group
 
 
@@ -220,19 +219,26 @@ def gauss_sum(x: PAdicApprox, mu: UnitCharacter) -> mpc:
     return total / len(ys)
 
 
-def zeta_value(p: int, s: int) -> Fraction:
-    qs = Fraction(p) ** s
-    return qs / (qs - 1)
+def zeta1(p: int) -> mpf:
+    """The local zeta value ``zeta(1) = p / (p - 1)``, a fraction in lowest
+    terms, at the working precision."""
+    return mpf(p) / (p - 1)
 
 
-def _as_mpf(fr: Fraction) -> mpf:
-    return mpf(fr.numerator) / fr.denominator
+@lru_cache(maxsize=1024)
+def _zeta1_q_power_cached(p: int, a: int, prec: int) -> mpf:
+    return zeta1(p) * q_power(p, a)
+
+
+def zeta1_q_power(p: int, a: int) -> mpf:
+    """``zeta(1) q^(-a/2)``, the scale of a Gauss transform at valuation
+    ``-a``, at the working precision."""
+    return _zeta1_q_power_cached(p, a, mp.prec)
 
 
 def gauss_sum_closed(x: PAdicApprox, mu: UnitCharacter) -> mpc:
     """The five-case closed form of the unit-average Gauss transform."""
     p = mu.p
-    zeta1 = _as_mpf(zeta_value(p, 1))
     if x.exact_zero:
         return mpc(1 if mu.is_trivial() else 0)
     t = x.valuation()
@@ -240,13 +246,13 @@ def gauss_sum_closed(x: PAdicApprox, mu: UnitCharacter) -> mpc:
         if t >= 0:
             return mpc(1)
         if t == -1:
-            return mpc(-zeta1 / p)
+            return mpc(-zeta1(p) / p)
         return mpc(0)
     a = mu.conductor
     if t != -a:
         return mpc(0)
     mu_inv_at_x = mu.eval_unit(x.unit_mod(a)).inverse()
-    return zeta1 * mp.power(p, mpf(t) / 2) * epsilon_factor(mu.inverse()) * mu_inv_at_x.embed()
+    return zeta1_q_power(p, a) * epsilon_factor(mu.inverse()) * mu_inv_at_x.embed()
 
 
 _eps_perturbation = [mpf(0)]
@@ -274,8 +280,7 @@ def _eps_cached(mu: UnitCharacter, prec: int) -> mpc:
     a = mu.conductor
     x = PAdicApprox(mu.p, -a, 1, a)
     g = gauss_sum(x, mu.inverse())
-    zeta1 = _as_mpf(zeta_value(mu.p, 1))
-    return mp.power(mu.p, mpf(a) / 2) / zeta1 * g
+    return mp.power(mu.p, mpf(a) / 2) / zeta1(mu.p) * g
 
 
 def epsilon_factor(mu: UnitCharacter) -> mpc:
@@ -380,7 +385,10 @@ class ExtendedCharacter:
         a = self.conductor
         if a == 0:
             return mpc(1)
-        return (self.pi_value**a).embed() * epsilon_factor(self.unit_part)
+        phase = self.pi_value**a
+        if phase.is_one():
+            return epsilon_factor(self.unit_part)
+        return phase.embed() * epsilon_factor(self.unit_part)
 
     def satake(self) -> RootOfUnity | None:
         """Present iff unramified; then L(s, chi) = (1 - satake q^-s)^-1."""

@@ -35,8 +35,10 @@ from .characters import (
     characters_mod,
     epsilon_factor,
     epsilon_perturbation,
+    zeta1,
+    zeta1_q_power,
 )
-from .numerics import ONE, RootOfUnity, expand_geometric
+from .numerics import ONE, RootOfUnity, expand_geometric, q_power
 from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
 from .representations import Representation, trivial_character
 
@@ -56,11 +58,6 @@ def _window(rep: Representation) -> int:
     """The last t at which every column stores its coefficient; beyond it
     coefficients come from the column's partial fractions."""
     return 2 * rep.n + 20
-
-
-def _zeta1(p: int) -> mpf:
-    # zeta(1) = p / (p - 1), a fraction already in lowest terms.
-    return mpf(p) / (p - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,14 +81,14 @@ class TailBound:
         if d <= self.d_from:
             raise ValueError("tail bound queried inside the computed range")
         s = d - self.d_from
-        return (self.a0 + self.a1 * s) * self.rho**s * mp.power(self.q, -mpf(d) / 2)
+        return (self.a0 + self.a1 * s) * self.rho**s * q_power(self.q, d)
 
 
 class CoefficientTable:
     """Fourier coefficients ``t -> c[t,k](mu)`` of one unit character: those
     up to the window stored, a tail certificate for every ``t`` beyond it,
-    and the partial fractions ``(b0, b1, a)`` that give each of them as
-    ``sum (b0 + b1 d) a^d q^(-d/2)`` with ``d = t + A``."""
+    and the partial fractions ``(b0, b1, w)`` that give each of them as
+    ``sum (b0 + b1 d) w^d`` with ``d = t + A`` (:func:`_closed_form`)."""
 
     __slots__ = ("k", "mu", "A", "coeffs", "tail", "parts")
 
@@ -108,11 +105,37 @@ class CoefficientTable:
         d = t + self.A
         if not self.parts or d <= self.tail.d_from:
             return self.coeffs.get(t, mpc(0))
-        theta = sum(((b0 + b1 * d) * a**d for b0, b1, a in self.parts), mpc(0))
-        return theta * mp.power(self.tail.q, -mpf(d) / 2)
+        return _closed_form(self.parts, d, d)[0]
 
     def __repr__(self):
         return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.coeffs)} coeffs)"
+
+
+def _closed_form(parts, d_lo: int, d_hi: int) -> list:
+    """``sum (b0 + b1 d) w^d`` over the partial fractions ``(b0, b1, w)``,
+    each ``w`` an exact :class:`ScaledRoot`, for ``d_lo <= d <= d_hi``.
+
+    Each ``w^d_lo`` is embedded exactly, times ``b0`` when ``b1 = 0``, and
+    then advanced by one product per degree, so a simple root costs one
+    product per coefficient."""
+    terms = []
+    for b0, b1, w in parts:
+        x, step = (w**d_lo).embed(), w.embed()
+        col = []
+        if b1:
+            for d in range(d_lo, d_hi + 1):
+                col.append((b0 + b1 * d) * x)
+                x *= step
+        else:
+            x *= b0
+            for _ in range(d_lo, d_hi + 1):
+                col.append(x)
+                x *= step
+        terms.append(col)
+    first, *rest = terms
+    for col in rest:
+        first = [u + v for u, v in zip(first, col)]
+    return first
 
 
 def coefficient_table(rep: Representation, k: int,
@@ -142,10 +165,9 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, 0, p)
         return CoefficientTable(k, mu, 0, {}, zero_tail, ())
     td = rep.twist_data(mu)
-    zeta1 = _zeta1(p)
     duals = [g.shift(2) for g in td.l_den]
     if mu.is_trivial() and ratio is None:
-        coeff, e = mpc({0: 1, 1: -zeta1 / p}.get(k, 0)), 0
+        coeff, e = mpc({0: 1, 1: -zeta1(p) / p}.get(k, 0)), 0
     elif mu.is_trivial():
         # The diagonal's geometric tail cancels the dual Euler factor with
         # root rho; as 1 + zeta(1)/q = zeta(1), the finite head and that tail
@@ -159,18 +181,18 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
         del duals[matches[0]]
         coeff, e = mpc(1), 0
         if k >= 1:
-            coeff, e = (-zeta1 / p) * (rho ** (k - 1)).embed(), 1 - k
+            coeff, e = (-zeta1(p) / p) * (rho ** (k - 1)).embed(), 1 - k
             duals.append(rho.shift(-2))
     else:
         a_star = k - mu.conductor
-        coeff = zeta1 * mp.power(p, -mpf(mu.conductor) / 2) * epsilon_factor(mu)
+        coeff = zeta1_q_power(p, mu.conductor) * epsilon_factor(mu)
         e = -a_star
         if ratio is not None:
             coeff *= (ratio.shift(1) ** a_star).embed()
         elif a_star != 0:
             coeff = mpc(0)
 
-    if coeff == 0:
+    if not coeff:
         zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, td.A, p)
         return CoefficientTable(k, mu, td.A, {}, zero_tail, ())
 
@@ -187,20 +209,28 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
         dual_poly.append(-sum((c.embed() for c in duals), mpc(0)))
     if len(duals) == 2:
         dual_poly.append(duals[0].embed() * duals[1].embed())
-    scale = rep.omega.at_minus_one().embed() / td.eps
+    scale = rep.omega_at_minus_one.embed() / td.eps
     terms = {e - j: (coeff * x) * scale for j, x in enumerate(dual_poly)}
-    d_last = _window(rep) + td.A
-    theta, parts = expand_geometric(terms, tuple(roots), d_last)
-    coeffs = {d - td.A: c * mp.power(p, -mpf(d) / 2) for d, c in theta.items()}
+    head, parts = expand_geometric(terms, tuple(roots))
+    A = td.A
+    coeffs = {d - A: c * q_power(p, d) for d, c in head.items()}
+    d_last = _window(rep) + A
+    # Past the head, theta_d q^(-d/2) = sum (b0 + b1 d) w^d, w = a q^(-1/2).
+    parts_w = tuple((b0, b1, a.shift(1)) for b0, b1, a in parts)
+    if parts_w:
+        # The head ends at e, the degree of the leading numerator term.
+        for d, c in enumerate(_closed_form(parts_w, e + 1, d_last), e + 1):
+            if c:
+                coeffs[d - A] = c
     # The roots left after the cancellation; none: an identically zero tail.
     rho = max((a.modulus() for a in roots), default=mpf(0))
     a0 = a1 = mpf(0)
     for b0, b1, a in parts:
-        amp = abs(a) ** d_last
+        amp = abs(a.embed()) ** d_last
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
-    tail = TailBound(a0, a1, rho, d_last, td.A, p)
-    return CoefficientTable(k, mu, td.A, coeffs, tail, tuple(parts))
+    tail = TailBound(a0, a1, rho, d_last, A, p)
+    return CoefficientTable(k, mu, A, coeffs, tail, parts_w)
 
 
 @lru_cache(maxsize=None)
@@ -655,10 +685,9 @@ def supercuspidal_closed_value(rep: Representation, r: Representative) -> mpc:
     eps_dual = rep.twist_data(omega_inv).eps
     if k == 0:
         return eps_dual if t == -n else mpc(0)
-    zeta1 = _zeta1(p)
     total = mpc(0)
     if t == -n:
-        g = mpc(-zeta1 / p) if k == 1 else mpc(0)
+        g = mpc(-zeta1(p) / p) if k == 1 else mpc(0)
         total += g * eps_dual
     acc = mpc(0)
     for mu in characters_mod(p, k):
@@ -668,7 +697,7 @@ def supercuspidal_closed_value(rep: Representation, r: Representative) -> mpc:
             continue
         term = epsilon_factor(mu) * rep.twist_data(mu.inverse() * omega_inv).eps
         acc += term * mu.eval_unit(v).embed()
-    total += zeta1 * mp.power(p, -mpf(k) / 2) * acc
+    total += zeta1_q_power(p, k) * acc
     return total
 
 

@@ -9,8 +9,9 @@ From exact to numeric:
 * :class:`ScaledRoot` -- an exact ``root * q^(-s/2)``, the form of every
   Satake parameter and diagonal ratio, so that equalities between them are
   decided exactly.
-* :func:`expand_geometric` -- the closed-form expansion around X = 0 of a
-  numerator of a few terms over at most two linear Euler factors.
+* :func:`expand_geometric` -- the expansion around X = 0 of a numerator of a
+  few terms over at most two linear Euler factors: the degrees the numerator
+  spans, and the partial fractions that give every degree after them.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -39,6 +40,7 @@ def set_precision(bits: int) -> None:
         raise ValueError(f"precision must be at least 53 bits, got {bits}")
     mp.prec = bits
     _embed_cached.cache_clear()
+    _q_power_cached.cache_clear()
     _scaled_embed_cached.cache_clear()
     unity_table.cache_clear()
 
@@ -108,8 +110,18 @@ MINUS_ONE = RootOfUnity(1, 2)
 
 
 @lru_cache(maxsize=4096)
+def _q_power_cached(q: int, s: int, prec: int) -> mpf:
+    return mp.power(q, -mpf(s) / 2)
+
+
+def q_power(q: int, s: int) -> mpf:
+    """``q^(-s/2)`` at the working precision."""
+    return _q_power_cached(q, s, mp.prec)
+
+
+@lru_cache(maxsize=4096)
 def _scaled_embed_cached(num: int, order: int, q: int, s: int, prec: int) -> mpc:
-    return _embed_cached(num, order, prec) * mp.power(q, -mpf(s) / 2)
+    return _embed_cached(num, order, prec) * _q_power_cached(q, s, prec)
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,10 @@ class ScaledRoot:
     root: RootOfUnity
     q: int
     s: int = 0
+
+    def __mul__(self, other: "ScaledRoot") -> "ScaledRoot":
+        """The product of two numbers over the same prime ``q``."""
+        return ScaledRoot(self.root * other.root, self.q, self.s + other.s)
 
     def __pow__(self, e: int) -> "ScaledRoot":
         return ScaledRoot(self.root**e, self.q, self.s * e)
@@ -132,67 +148,62 @@ class ScaledRoot:
         return ScaledRoot(self.root, self.q, self.s + s)
 
     def modulus(self) -> mpf:
-        return mp.power(self.q, -mpf(self.s) / 2)
+        return q_power(self.q, self.s)
 
     def embed(self) -> mpc:
         return _scaled_embed_cached(self.root.num, self.root.order, self.q,
                                     self.s, mp.prec)
 
 
-def expand_geometric(terms: Mapping[int, mpc], roots: tuple, d_hi: int):
+def expand_geometric(terms: Mapping[int, mpc], roots: tuple):
     """Expand ``sum_j n_j X^(e_j) / prod_i (1 - a_i X)`` around X = 0.
 
     ``terms`` maps each degree ``e_j`` to ``n_j``; ``roots`` holds at most two
     :class:`ScaledRoot` values ``a_i``, compared exactly.  With ``h_m`` the
-    coefficients of ``1 / prod_i (1 - a_i X)`` -- 0 for m < 0, 1 with no
-    root, ``a^m`` with one, ``(a1^(m+1) - a2^(m+1)) / (a1 - a2)`` with two
-    distinct roots and ``(m+1) a^m`` with a double root -- the coefficients
+    coefficients of ``1 / prod_i (1 - a_i X)`` -- the complete homogeneous
+    polynomials of degree m in the ``a_i``, 0 for m < 0 -- the coefficients
     are ``theta_d = sum_j n_j h_(d - e_j)``.
 
-    Returns ``(theta, parts)``: ``theta`` maps each degree ``min(e_j) <= d <=
-    d_hi`` to its coefficient, exact zeros left out; ``parts`` lists the
-    partial fractions ``(b0, b1, a)`` with ``theta_d = sum (b0 + b1 d) a^d``
-    for every ``d > max(e_j)``.
+    Returns ``(head, parts)``: ``head`` maps each degree ``min(e_j) <= d <=
+    max(e_j)`` to ``theta_d``, summed directly, exact zeros left out;
+    ``parts`` lists the partial fractions ``(b0, b1, a)``, ``a`` one of the
+    roots, with ``theta_d = sum (b0 + b1 d) a^d`` for every ``d > max(e_j)``.
+    Without roots the numerator is the whole expansion and ``parts`` is empty.
     """
-    terms = [(e, mpc(n)) for e, n in sorted(terms.items()) if n != 0]
+    terms = [(e, n if isinstance(n, mpc) else mpc(n))
+             for e, n in sorted(terms.items()) if n]
     if not roots:
-        return {e: n for e, n in terms if e <= d_hi}, []
+        return dict(terms), []
     if not terms:
         return {}, []
-    a = [r.embed() for r in roots]
-    double = len(roots) == 2 and roots[0] == roots[1]
-    h = []
-    pw = [mpc(1)] * len(roots)
-    if len(roots) == 2 and not double:
-        inv = 1 / (a[0] - a[1])
-        pw = list(a)
-    for m in range(d_hi - terms[0][0] + 1):
-        if len(roots) == 1:
-            h.append(pw[0])
-        elif double:
-            h.append((m + 1) * pw[0])
-        else:
-            h.append((pw[0] - pw[1]) * inv)
-        pw = [x * y for x, y in zip(pw, a)]
-    theta = {}
-    for d in range(terms[0][0], d_hi + 1):
+    head = {}
+    for d in range(terms[0][0], terms[-1][0] + 1):
         c = mpc(0)
         for e, n in terms:
             if d < e:
                 break
-            c += n * h[d - e]
-        if c != 0:
-            theta[d] = c
+            c += n if d == e else n * _complete_homogeneous(roots, d - e)
+        if c:
+            head[d] = c
+    a = [r.embed() for r in roots]
 
     def at(x):  # sum_j n_j x^(-e_j)
         return sum((n * x ** (-e) for e, n in terms), mpc(0))
 
     if len(roots) == 1:
-        parts = [(at(a[0]), mpc(0), a[0])]
-    elif double:
+        return head, [(at(a[0]), mpc(0), roots[0])]
+    if roots[0] == roots[1]:
         b0 = sum((n * (1 - e) * a[0] ** (-e) for e, n in terms), mpc(0))
-        parts = [(b0, at(a[0]), a[0])]
-    else:
-        parts = [(a[0] * inv * at(a[0]), mpc(0), a[0]),
-                 (-a[1] * inv * at(a[1]), mpc(0), a[1])]
-    return theta, parts
+        return head, [(b0, at(a[0]), roots[0])]
+    inv = 1 / (a[0] - a[1])
+    return head, [(a[0] * inv * at(a[0]), mpc(0), roots[0]),
+                  (-a[1] * inv * at(a[1]), mpc(0), roots[1])]
+
+
+def _complete_homogeneous(roots: tuple, m: int) -> mpc:
+    """``h_m``: the sum of the monomials of degree ``m >= 1`` in the roots,
+    each an exact :class:`ScaledRoot` embedded once."""
+    if len(roots) == 1:
+        return (roots[0] ** m).embed()
+    r0, r1 = roots
+    return sum(((r0**i * r1 ** (m - i)).embed() for i in range(m + 1)), mpc(0))

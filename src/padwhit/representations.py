@@ -25,7 +25,7 @@ from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, MINUS_ONE, ScaledRoot, approx_equal
+from .numerics import ONE, MINUS_ONE, RootOfUnity, ScaledRoot, approx_equal
 from .characters import (
     ExtendedCharacter,
     UnitCharacter,
@@ -67,6 +67,11 @@ class Representation:
     @property
     def m(self) -> int:
         return self.omega.conductor
+
+    @cached_property
+    def omega_at_minus_one(self) -> RootOfUnity:
+        """omega(-1), exact."""
+        return self.omega.at_minus_one()
 
     @property
     def has_trivial_lfactor(self) -> bool:
@@ -125,7 +130,7 @@ class PrincipalSeries(Representation):
     def p(self) -> int:
         return self.chi1.p
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.chi1.conductor + self.chi2.conductor
 
@@ -138,14 +143,12 @@ class PrincipalSeries(Representation):
         return self.chi2.conductor > 0
 
     def twist_data(self, mu: UnitCharacter) -> TwistData:
-        A = 0
-        eps = mpc(1)
+        twists = (self.chi1.twist(mu), self.chi2.twist(mu))
+        A = twists[0].conductor + twists[1].conductor
+        eps = twists[0].epsilon() * twists[1].epsilon()
         l_num: list = []
         l_den: list = []
-        for chi in (self.chi1, self.chi2):
-            tw = chi.twist(mu)
-            A += tw.conductor
-            eps *= tw.epsilon()
+        for tw in twists:
             if tw.conductor == 0:
                 l_num.append(ScaledRoot(tw.pi_value, self.p))
                 l_den.append(ScaledRoot(tw.pi_value.inverse(), self.p))
@@ -190,7 +193,7 @@ class SteinbergTwist(Representation):
     def p(self) -> int:
         return self.xi.p
 
-    @property
+    @cached_property
     def n(self) -> int:
         return max(1, 2 * self.xi.conductor)
 

@@ -27,6 +27,7 @@ from .characters import (
     gauss_sum_closed,
     verify_critical_unit,
     format_char,
+    zeta1,
 )
 from .engine import (
     Representative,
@@ -447,7 +448,6 @@ def check_closed_forms(rep: Representation) -> CheckReport:
         report.record(0, "not a principal series; nothing to check")
         return report
     n, p = rep.n, rep.p
-    zeta1 = _zeta1_local(p)
     for k in range(n // 2 + 1):
         for mu in characters_mod(p, k):
             tab = coefficient_table(rep, k, mu)
@@ -457,7 +457,7 @@ def check_closed_forms(rep: Representation) -> CheckReport:
                     continue  # geometric column, covered by normalization
                 t0 = -k - n
                 want = (
-                    zeta1
+                    zeta1(p)
                     * (rep.chi2.pi_value ** (-k)).embed()
                     * mp.power(p, -mpf(k) / 2)
                     * mu.at_minus_one().embed()
@@ -475,10 +475,6 @@ def check_closed_forms(rep: Representation) -> CheckReport:
                 report.record(abs(tab.value(t) - target),
                               f"k={k} mu={format_char(mu)} t={t}")
     return report
-
-
-def _zeta1_local(p: int) -> mpf:
-    return mpf(p) / (p - 1)
 
 
 def check_parseval(rep: Representation, seed: int = 11) -> CheckReport:

@@ -554,6 +554,88 @@ def test_tail_rho_comes_from_the_roots_left_after_cancellation():
     assert tab.tail.rho == 1
 
 
+def _recurrence_expand(terms, roots, d_hi):
+    """The coefficients theta_d, min(e_j) <= d <= d_hi, of sum_j n_j X^(e_j)
+    / prod_i (1 - a_i X) as the solver computed them before it evaluated the
+    partial fractions: the h_m recurrence over the whole window."""
+    terms = [(e, mpc(n)) for e, n in sorted(terms.items()) if n != 0]
+    if not roots:
+        return {e: n for e, n in terms if e <= d_hi}
+    if not terms:
+        return {}
+    a = [r.embed() for r in roots]
+    double = len(roots) == 2 and roots[0] == roots[1]
+    h = []
+    pw = [mpc(1)] * len(roots)
+    if len(roots) == 2 and not double:
+        inv = 1 / (a[0] - a[1])
+        pw = list(a)
+    for m in range(d_hi - terms[0][0] + 1):
+        if len(roots) == 1:
+            h.append(pw[0])
+        elif double:
+            h.append((m + 1) * pw[0])
+        else:
+            h.append((pw[0] - pw[1]) * inv)
+        pw = [x * y for x, y in zip(pw, a)]
+    theta = {}
+    for d in range(terms[0][0], d_hi + 1):
+        c = mpc(0)
+        for e, n in terms:
+            if d < e:
+                break
+            c += n * h[d - e]
+        if c != 0:
+            theta[d] = c
+    return theta
+
+
+def _recurrence_column(rep, k, mu):
+    """(solved column, its coefficients by the recurrence): the numerator and
+    roots the solver expands, recorded on the way in, expanded again by
+    :func:`_recurrence_expand` and scaled by q^(-d/2)."""
+    seen = []
+    real = engine.expand_geometric
+
+    def spy(terms, roots):
+        seen.append((terms, roots))
+        return real(terms, roots)
+
+    engine.expand_geometric = spy
+    try:
+        tab = coefficient_table(rep, k, mu)
+    finally:
+        engine.expand_geometric = real
+    if not seen:
+        return tab, {}
+    (terms, roots), = seen
+    theta = _recurrence_expand(terms, roots, engine._window(rep) + tab.A)
+    return tab, {d - tab.A: c * mp.power(rep.p, -mpf(d) / 2)
+                 for d, c in theta.items()}
+
+
+def test_columns_match_the_recurrence():
+    # Every column of the family, k <= n/2 and the direct k > n/2 ones.
+    family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
+    recurrent = 0
+    for rep in family:
+        for k in range(rep.n + 1):
+            for mu in characters_mod(rep.p, k):
+                tab, want = _recurrence_column(rep, k, mu)
+                where = (rep.spec_string(), k, mu)
+                if not tab.parts:
+                    assert tab.coeffs == want, where
+                    continue
+                recurrent += 1
+                for t in tab.coeffs.keys() ^ want.keys():
+                    assert abs(want.get(t, tab.coeffs.get(t))) < mpf("1e-37"), where
+                for t in tab.coeffs.keys() & want.keys():
+                    if abs(want[t]) > mpf("1e-30"):
+                        assert abs(tab.coeffs[t] - want[t]) \
+                            <= mpf("1e-36") * abs(want[t]), (where, t)
+    assert recurrent > 100
+
+
 def test_sup_norm_deterministic_witness():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     r1 = sup_norm(rep)

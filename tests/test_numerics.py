@@ -92,38 +92,51 @@ def _euler(roots):
     return den
 
 
+def _expansion(terms, roots, upto):
+    """Every coefficient from min(e_j) to ``upto``: the head where it spans,
+    the partial fractions past it."""
+    head, parts = expand_geometric(terms, roots)
+    hi = max(e for e, n in terms.items() if n != 0)
+    theta = {}
+    for d in range(min(terms), upto + 1):
+        if d <= hi:
+            theta[d] = head.get(d, mpc(0))
+        else:
+            theta[d] = sum(((b0 + b1 * d) * a.embed() ** d
+                            for b0, b1, a in parts), mpc(0))
+    return theta
+
+
 def _check_against_oracle(terms, roots, upto):
-    """expand_geometric against long division, and its partial fractions
-    against the expansion beyond the top numerator degree."""
+    """expand_geometric's head and its partial fractions beyond the top
+    numerator degree against long division."""
     lo, hi = min(terms), max(terms)
-    theta, parts = expand_geometric(terms, roots, upto)
+    head, parts = expand_geometric(terms, roots)
+    assert set(head) <= set(range(lo, hi + 1))
     num = [mpc(terms.get(d, 0)) for d in range(lo, hi + 1)]
     oracle = _long_division_oracle(num, _euler(roots), upto - lo)
+    theta = _expansion(terms, roots, upto)
     for d in range(lo, upto + 1):
-        assert abs(theta.get(d, mpc(0)) - oracle[d - lo]) < mpf("1e-30"), d
-    for d in range(hi + 1, upto + 1):
-        fit = sum(((b0 + b1 * d) * a**d for b0, b1, a in parts), mpc(0))
-        assert abs(fit - theta.get(d, mpc(0))) < mpf("1e-30"), d
-    return theta, parts
+        assert abs(theta[d] - oracle[d - lo]) < mpf("1e-30"), d
+    return head, parts
 
 
 def test_expand_geometric_no_root():
-    theta, parts = _check_against_oracle({-1: 2, 1: mpc(0, 1)}, (), 4)
-    assert theta == {-1: 2, 1: mpc(0, 1)}
+    head, parts = _check_against_oracle({-1: 2, 1: mpc(0, 1)}, (), 4)
+    assert head == {-1: 2, 1: mpc(0, 1)}
     assert parts == []
 
 
 def test_series_expand_geometric():
-    theta, _ = _check_against_oracle({0: 1}, (_root(0, 1),), 3)
-    assert theta.keys() == {0, 1, 2, 3}
-    for d in range(4):
-        assert approx_equal(theta[d], 1, mpf("1e-30"))
+    head, parts = _check_against_oracle({0: 1}, (_root(0, 1),), 3)
+    assert head == {0: 1}
+    assert parts == [(1, 0, _root(0, 1))]
 
 
 def test_series_expand_identity():
     # (1 - X) / (1 - X) = 1: every coefficient past degree 0 cancels exactly.
-    theta, parts = expand_geometric({0: 1, 1: -1}, (_root(0, 1),), 5)
-    assert theta == {0: 1}
+    head, parts = expand_geometric({0: 1, 1: -1}, (_root(0, 1),))
+    assert head == {0: 1}
     assert parts[0][0] == 0
 
 
@@ -142,22 +155,27 @@ def test_expand_geometric_distinct_roots_against_long_division():
 def test_series_expand_double_pole_against_long_division():
     # 1/(1-X)^2 expands as 1 + 2X + 3X^2 + ...
     one = _root(0, 1)
-    theta, parts = _check_against_oracle({0: 1}, (one, one), 6)
+    _check_against_oracle({0: 1}, (one, one), 6)
+    theta = _expansion({0: 1}, (one, one), 6)
     assert approx_equal(theta[1], 2, mpf("1e-30"))
     assert approx_equal(theta[2], 3, mpf("1e-30"))
+    _, parts = expand_geometric({0: 1}, (one, one))
     (b0, b1, a), = parts
+    assert a == one
     assert approx_equal(b0, 1, mpf("1e-30")) and approx_equal(b1, 1, mpf("1e-30"))
-    # A double root off the unit circle with a three-term numerator.
+    # A double root off the unit circle with a three-term numerator: the
+    # head spans three degrees.
     r = _root(1, 8, 7, 1)
-    _check_against_oracle({-2: 1, -1: mpc(0, -2), 0: 3}, (r, r), 12)
+    head, _ = _check_against_oracle({-2: 1, -1: mpc(0, -2), 0: 3}, (r, r), 12)
+    assert sorted(head) == [-2, -1, 0]
 
 
 def test_series_expand_principal_part_exact():
     terms = {-2: 3, 0: 1}
-    theta, _ = _check_against_oracle(terms, (_root(1, 4),), 4)
-    assert approx_equal(theta[-2], 3, mpf("1e-30"))
-    assert approx_equal(theta[-1], mpc(0, 3), mpf("1e-30"))
-    assert min(theta) == -2
+    head, _ = _check_against_oracle(terms, (_root(1, 4),), 4)
+    assert approx_equal(head[-2], 3, mpf("1e-30"))
+    assert approx_equal(head[-1], mpc(0, 3), mpf("1e-30"))
+    assert min(head) == -2
 
 
 def test_series_product_multiplicativity():
@@ -172,19 +190,22 @@ def test_series_product_multiplicativity():
         for d1, c1 in f.items():
             for d2, c2 in g.items():
                 fg[d1 + d2] = fg.get(d1 + d2, mpc(0)) + c1 * c2
-        lhs, _ = expand_geometric(fg, (r1, r2), T)
-        sf, _ = expand_geometric(f, (r1,), T + 2)
-        sg, _ = expand_geometric(g, (r2,), T + 2)
+        lhs = _expansion(fg, (r1, r2), T)
+        sf = _expansion(f, (r1,), T + 2)
+        sg = _expansion(g, (r2,), T + 2)
         for d in range(min(fg), T + 1):
             rhs = sum((c * sg.get(d - d1, mpc(0)) for d1, c in sf.items()), mpc(0))
-            assert abs(lhs.get(d, mpc(0)) - rhs) < mpf("1e-30")
+            assert abs(lhs[d] - rhs) < mpf("1e-30")
 
 
 def test_expand_geometric_drops_exact_zeros():
-    # 1 / ((1 - iX)(1 + iX)) = 1 / (1 + X^2): odd coefficients vanish exactly.
-    theta, _ = expand_geometric({0: 1}, (_root(1, 4), _root(3, 4)), 7)
-    assert sorted(theta) == [0, 2, 4, 6]
-    assert expand_geometric({0: 0}, (_root(1, 4),), 7) == ({}, [])
+    # (1 + X^2) / ((1 - iX)(1 + iX)) = 1: the head's degrees 1 and 2 and
+    # every partial fraction vanish exactly.
+    i, minus_i = _root(1, 4), _root(3, 4)
+    head, parts = expand_geometric({0: 1, 2: 1}, (i, minus_i))
+    assert head == {0: 1}
+    assert [(b0, b1) for b0, b1, _ in parts] == [(0, 0), (0, 0)]
+    assert expand_geometric({0: 0}, (i,)) == ({}, [])
 
 
 def test_scaled_root_exact_arithmetic():
@@ -192,6 +213,8 @@ def test_scaled_root_exact_arithmetic():
     assert a.inverse() == _root(5, 6, 5, -1)
     assert a.shift(2) == ScaledRoot(RootOfUnity(1, 6), 5, 3)
     assert a**3 == _root(1, 2, 5, 3)
+    assert a * _root(1, 3, 5, 2) == _root(1, 2, 5, 3)
+    assert a * a.inverse() == _root(0, 1, 5, 0)
     assert approx_equal(a.embed(), RootOfUnity(1, 6).embed() / mp.sqrt(5),
                         mpf("1e-35"))
     assert approx_equal(a.shift(2).modulus(), mp.power(5, -1.5), mpf("1e-35"))

@@ -234,11 +234,23 @@ def test_omega_and_oracle_table_are_built_once():
     st = SteinbergTwist(ext(3, 1, [1]))
     for rep in (ps, st):
         assert rep.omega is rep.omega
+        assert rep.omega_at_minus_one is rep.omega_at_minus_one
+        assert rep.omega_at_minus_one == rep.omega.at_minus_one()
+        # n is computed once and then read off the instance.
+        assert rep.n == vars(rep)["n"] == (2 if rep is st else 3)
         # The cached value travels with a pickled descriptor and does not
         # enter equality or hashing.
         clone = pickle.loads(pickle.dumps(rep))
         assert clone == rep and hash(clone) == hash(rep)
         assert clone.omega == rep.omega
+    # No factor of an exact 1 enters an epsilon factor.
+    for mu in characters_mod(3, 2):
+        tw1, tw2 = ps.chi1.twist(mu), ps.chi2.twist(mu)
+        assert ps.twist_data(mu).eps == tw1.epsilon() * tw2.epsilon()
+    chi = ext(3, 2, [1], RootOfUnity(1, 2))  # pi^2 = 1 exactly
+    assert chi.epsilon() == epsilon_factor(chi.unit_part)
+    chi = ext(3, 1, [1], RootOfUnity(1, 2))
+    assert chi.epsilon() == RootOfUnity(1, 2).embed() * epsilon_factor(chi.unit_part)
     sc = synthetic_oracle(3, 2, seed=2)
     assert sc._table is sc._table
     mu = characters_mod(3, 2)[1]
