@@ -138,6 +138,12 @@ def _closed_form(parts, d_lo: int, d_hi: int) -> list:
     return first
 
 
+@lru_cache(maxsize=1024)
+def _sign_at_minus_one(omega: UnitCharacter) -> int:
+    """omega(-1): 1 or -1, as (-1)^2 = 1."""
+    return 1 if omega.at_minus_one().is_one() else -1
+
+
 def coefficient_table(rep: Representation, k: int,
                       mu: UnitCharacter) -> CoefficientTable:
     """Solve the functional-equation identity for the column (k, mu).
@@ -209,7 +215,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
         dual_poly.append(-sum((c.embed() for c in duals), mpc(0)))
     if len(duals) == 2:
         dual_poly.append(duals[0].embed() * duals[1].embed())
-    scale = rep.omega_at_minus_one.embed() / td.eps
+    scale = _sign_at_minus_one(rep.omega) / td.eps
     terms = {e - j: (coeff * x) * scale for j, x in enumerate(dual_poly)}
     head, parts = expand_geometric(terms, tuple(roots))
     A = td.A

@@ -170,8 +170,7 @@ def expand_geometric(terms: Mapping[int, mpc], roots: tuple):
     roots, with ``theta_d = sum (b0 + b1 d) a^d`` for every ``d > max(e_j)``.
     Without roots the numerator is the whole expansion and ``parts`` is empty.
     """
-    terms = [(e, n if isinstance(n, mpc) else mpc(n))
-             for e, n in sorted(terms.items()) if n]
+    terms = [(e, mp.mpmathify(n)) for e, n in sorted(terms.items()) if n]
     if not roots:
         return dict(terms), []
     if not terms:

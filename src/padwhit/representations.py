@@ -25,7 +25,7 @@ from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, MINUS_ONE, RootOfUnity, ScaledRoot, approx_equal
+from .numerics import ONE, MINUS_ONE, ScaledRoot, approx_equal
 from .characters import (
     ExtendedCharacter,
     UnitCharacter,
@@ -67,11 +67,6 @@ class Representation:
     @property
     def m(self) -> int:
         return self.omega.conductor
-
-    @cached_property
-    def omega_at_minus_one(self) -> RootOfUnity:
-        """omega(-1), exact."""
-        return self.omega.at_minus_one()
 
     @property
     def has_trivial_lfactor(self) -> bool:

@@ -234,8 +234,6 @@ def test_omega_and_oracle_table_are_built_once():
     st = SteinbergTwist(ext(3, 1, [1]))
     for rep in (ps, st):
         assert rep.omega is rep.omega
-        assert rep.omega_at_minus_one is rep.omega_at_minus_one
-        assert rep.omega_at_minus_one == rep.omega.at_minus_one()
         # n is computed once and then read off the instance.
         assert rep.n == vars(rep)["n"] == (2 if rep is st else 3)
         # The cached value travels with a pickled descriptor and does not
