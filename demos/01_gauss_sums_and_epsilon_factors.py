@@ -2,8 +2,11 @@
 
 The Gauss transform G(x, mu) averages psi(x*y) mu(y) over the units of Z_p;
 it vanishes except in five explicit situations, and at the critical
-valuation it *defines* the epsilon factor of mu.  Everything below is
-computed by exact root-of-unity summation and printed at 128-bit precision.
+valuation it equals zeta(1) q^(-a/2) times the epsilon factor of mu^-1.
+epsilon_factor sums only the stationary coset of that Gauss sum (one root
+for even conductor, p roots for odd), so the full brute-force sum is an
+independent check of it.  Everything below is computed by exact
+root-of-unity summation and printed at 128-bit precision.
 """
 
 from mpmath import mp
@@ -18,6 +21,7 @@ from padwhit import (
     gauss_sum_closed,
     make_character,
 )
+from padwhit.characters import zeta1
 
 p = 3
 quad = make_character(p, 1, [1])          # the quadratic character mod 3
@@ -39,6 +43,18 @@ for mu in characters_mod(p, 2):
     print(f"  eps(1/2, {format_char(mu)}) = {mp.nstr(e, 12)}   "
           f"|eps| - 1 = {mp.nstr(abs(e) - 1, 3)}   "
           f"eps * eps_dual = {mp.nstr(e * dual, 8)} (= mu(-1))")
+
+print()
+print("== epsilon factors against the brute-force Gauss sum ==")
+for mu in characters_mod(p, 3):
+    a = mu.conductor
+    if a == 0:
+        continue
+    x = PAdicApprox(p, -a, 1, a)
+    brute = gauss_sum(x, mu.inverse()) / (zeta1(p) * mp.power(p, -mp.mpf(a) / 2))
+    assert abs(brute - epsilon_factor(mu)) < mp.mpf("1e-30")
+print(f"  all {sum(1 for mu in characters_mod(p, 3) if mu.conductor)} ramified "
+      f"characters mod {p ** 3} agree to 1e-30")
 
 print()
 print("== the aligning unit of a wildly ramified character ==")

@@ -7,9 +7,20 @@ adds an exact root-of-unity value at the uniformizer.  Character values stay
 exact until a final embedding, so Gauss sums of thousands of terms carry no
 phase drift.
 
-Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``); the epsilon
-factor of a ramified character is read off the Gauss sum at the critical
-valuation and cached, since sup-norm scans reuse thousands of them.
+Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``).  The epsilon
+factor of a character ``mu`` of conductor ``a >= 1`` is, up to the scale
+``zeta(1) q^(-a/2)``, the Gauss sum of ``nu = mu^-1`` at valuation ``-a``,
+but it is never summed over all ``phi(p^a)`` units.  With ``c = floor(a/2)``, every unit is
+``y = y0 (1 + p^(a-c) z)`` with ``y0`` a unit mod ``p^(a-c)`` and ``z`` mod
+``p^c``, and since ``2(a - c) >= a``, ``z -> nu(1 + p^(a-c) z)`` is the
+additive character ``e(beta z / p^c)``, ``nu(1 + p^(a-c)) = e(beta / p^c)``.
+The sum over ``z`` of ``e((y0 + beta) z / p^c)`` vanishes unless
+``y0 = -beta (mod p^c)``, so only that coset survives (the stationary phase
+of Iwaniec-Kowalski, *Analytic Number Theory*, Lemmas 12.2-12.3): one exact
+root for even ``a``, ``p`` roots over ``sqrt(p)`` for odd ``a >= 3``, the
+``p - 1`` units at ``a = 1``.  The brute-force :func:`gauss_sum` stays as the
+independent oracle that the tests and ``verify`` compare against.  Epsilon
+factors are cached, since sup-norm scans reuse thousands of them.
 """
 
 from __future__ import annotations
@@ -277,10 +288,15 @@ def epsilon_perturbation() -> mpf:
 
 @lru_cache(maxsize=None)
 def _eps_cached(mu: UnitCharacter, prec: int) -> mpc:
-    a = mu.conductor
-    x = PAdicApprox(mu.p, -a, 1, a)
-    g = gauss_sum(x, mu.inverse())
-    return mp.power(mu.p, mpf(a) / 2) / zeta1(mu.p) * g
+    p, a = mu.p, mu.conductor
+    nu = mu.inverse()
+    beta, c = _critical_phase(nu)
+    step, mod = p**c, p**a
+    total = mpc(0)
+    for y in range(-beta % step, p ** (a - c), step):
+        if y % p:
+            total += (nu.eval_unit(y) * RootOfUnity(y, mod)).embed()
+    return total * q_power(p, 1) if a % 2 else total
 
 
 def epsilon_factor(mu: UnitCharacter) -> mpc:
@@ -288,7 +304,16 @@ def epsilon_factor(mu: UnitCharacter) -> mpc:
 
     Normalized so that the Gauss transform at valuation -a equals
     ``zeta(1) q^{-a/2} epsilon(1/2, mu^{-1})``; unit modulus for these
-    (unitary) characters.
+    (unitary) characters.  With ``nu = mu^-1``, ``c = floor(a/2)`` and
+    ``nu(1 + p^(a-c)) = e(beta / p^c)``, the units ``y = y0 (1 + p^(a-c) z)``
+    outside the coset ``y0 = -beta (mod p^c)`` cancel in the sum over ``z``,
+    which leaves
+
+        ``epsilon(1/2, mu) = p^(c - a/2) sum nu(y) e(y / p^a)``
+
+    over the units ``y mod p^(a-c)`` with ``y = -beta (mod p^c)``, each term
+    an exact root of unity embedded once (Iwaniec-Kowalski, *Analytic Number
+    Theory*, Lemmas 12.2-12.3).
     """
     if mu.conductor == 0:
         return mpc(1)
@@ -298,30 +323,33 @@ def epsilon_factor(mu: UnitCharacter) -> mpc:
     return value
 
 
+def _critical_phase(chi: UnitCharacter) -> tuple[int, int]:
+    """``(beta, r0)`` with ``chi(1 + p^(r - r0)) = e(beta / p^r0)``, where
+    r = cond(chi) and r0 = floor(r/2); beta is a unit mod p^r0 when r0 >= 1,
+    since chi is nontrivial on ``1 + p^(r-1)``, a power of ``1 + p^(r - r0)``."""
+    r0 = chi.conductor // 2
+    if r0 == 0:
+        return 0, 0
+    value = chi.eval_unit(1 + chi.p ** (chi.conductor - r0))
+    if value.order != chi.p**r0:
+        raise RuntimeError("no aligning unit exists; character data is inconsistent")
+    return value.num, r0
+
+
 def critical_unit(chi: UnitCharacter) -> int:
     """The unit class v (mod p^floor(r/2)) aligning chi on the principal units
     with the additive character: chi(1 + p^{r - r0} u) = psi(v^{-1} p^{-r0} u)
     for all integers u, where r = cond(chi) >= 1 and r0 = floor(r/2).
 
     Both sides are homomorphisms in u on Z/p^{r0} (since 2(r - r0) >= r), and
-    that group is generated by 1, so matching at u = 1 suffices; the full
-    condition is re-verified by :func:`verify_critical_unit` at check time.
+    that group is generated by 1, so matching at u = 1 suffices: v is the
+    inverse of :func:`_critical_phase`'s beta.  The full condition is
+    re-verified by :func:`verify_critical_unit` at check time.
     """
-    r = chi.conductor
-    if r < 1:
+    if chi.conductor < 1:
         raise ValueError("critical_unit needs a ramified character")
-    r0 = r // 2
-    if r0 == 0:
-        return 1
-    p = chi.p
-    mod0 = p**r0
-    target = chi.eval_unit(1 + p ** (r - r0))
-    for v in range(1, mod0):
-        if v % p == 0:
-            continue
-        if RootOfUnity(pow(v, -1, mod0), mod0) == target:
-            return v
-    raise RuntimeError("no aligning unit exists; character data is inconsistent")
+    beta, r0 = _critical_phase(chi)
+    return pow(beta, -1, chi.p**r0) if r0 else 1
 
 
 def verify_critical_unit(chi: UnitCharacter, v0: int) -> bool:

@@ -17,8 +17,9 @@ from padwhit.characters import (
     parse_unit_char,
     perturb_epsilon,
     verify_critical_unit,
+    zeta1,
 )
-from padwhit.numerics import ONE, RootOfUnity, approx_equal
+from padwhit.numerics import ONE, RootOfUnity, approx_equal, get_precision, set_precision
 from padwhit.padics import PAdicApprox, unit_group
 
 TOL = mpf("1e-20")
@@ -132,6 +133,47 @@ def test_epsilon_unit_modulus_and_duality(p):
         e = epsilon_factor(mu)
         assert abs(abs(e) - 1) < TOL
         assert abs(e * epsilon_factor(mu.inverse()) - mu.at_minus_one().embed()) < TOL
+
+
+# Every character of conductor 1..a_max at each p: the brute-force sums run
+# over up to 500 units.
+ORACLE_FAMILY = ((2, 8), (3, 6), (5, 4), (7, 3))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
+def test_epsilon_factor_matches_gauss_sum(bits):
+    # Error budget in u = 2^(1 - bits); a correctly rounded operation is off
+    # by at most u/2 relative, and an embedded root by at most u.
+    # * Brute force: gauss_sum adds K <= N = phi(p^a) terms count * root, off
+    #   by at most 2u * count each, in K - 1 recursive additions off by at
+    #   most u * N each (the partial sums stay below N), then divides by N:
+    #   |G_brute - G| <= (N + 2) u.  The scale p^(a/2) / zeta(1) <= p^(a/2)
+    #   is off by at most 2u relative, so eps_brute is off by at most
+    #   p^(a/2) (N + 4) u.
+    # * Closed form: m <= p embedded roots (m = 1 for even a, p for odd
+    #   a >= 3, p - 1 at a = 1), m - 1 additions off by at most u * m each,
+    #   then one product by p^(-1/2): off by at most (p^2 + p + 2) u.
+    old = get_precision()
+    try:
+        set_precision(bits)
+        u = mpf(2) ** (1 - bits)
+        for p, a_max in ORACLE_FAMILY:
+            closed_err = (p * p + p + 2) * u
+            for mu in characters_mod(p, a_max):
+                a = mu.conductor
+                if a == 0:
+                    continue
+                n_terms = p**a - p ** (a - 1)
+                x = PAdicApprox(p, -a, 1, a)
+                brute = mp.power(p, mpf(a) / 2) / zeta1(p) * gauss_sum(x, mu.inverse())
+                eps = epsilon_factor(mu)
+                spec = (bits, format_char(mu))
+                assert abs(eps - brute) <= mp.power(p, mpf(a) / 2) * (n_terms + 4) * u + closed_err, spec
+                assert abs(abs(eps) - 1) <= closed_err + u, spec
+                pair = eps * epsilon_factor(mu.inverse())
+                assert abs(pair - mu.at_minus_one().embed()) <= 2 * closed_err + 3 * u, spec
+    finally:
+        set_precision(old)
 
 
 def test_critical_unit_examples():
