@@ -239,7 +239,10 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
     return CoefficientTable(k, mu, A, coeffs, tail, parts_w)
 
 
-@lru_cache(maxsize=None)
+# Bounded like _dual_at, which wraps it, so that a long scan does not keep
+# one dual per descriptor it has ever seen.  A recomputed dual equals the
+# evicted one, so it still finds its levels in the level cache.
+@lru_cache(maxsize=1024)
 def contragredient_of(rep: Representation) -> Representation:
     return rep.contragredient()
 

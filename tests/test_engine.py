@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpc, mpf
 
-from padwhit import engine
+from padwhit import characters, engine
 from padwhit.characters import (
     ExtendedCharacter,
     characters_mod,
@@ -453,6 +453,46 @@ def test_canary_leaves_no_trace_in_atkin_lehner_cache():
     assert warm == cold
     assert abs(warm - plain) > mpf("1e-4")
     assert atkin_lehner_reduce(rep, r)[0] == plain
+
+
+def test_contragredient_cache_is_bounded_and_duals_still_hit_the_level_cache():
+    bound = contragredient_of.cache_info().maxsize
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
+    dual = contragredient_of(rep)
+    level = tables_for_level(dual, 1)
+    chars = characters_mod(7, 2)
+    flood = [PrincipalSeries(ExtendedCharacter(a), ExtendedCharacter(b))
+             for a in chars for b in chars if a.conductor or b.conductor]
+    assert len(flood) > bound
+    for other in flood:
+        contragredient_of(other)
+    assert contragredient_of.cache_info().currsize == bound
+    misses = contragredient_of.cache_info().misses
+    hits = engine._tables_for_level_at.cache_info().hits
+    again = contragredient_of(rep)  # evicted, so built anew
+    assert contragredient_of.cache_info().misses == misses + 1
+    assert again == dual
+    assert tables_for_level(again, 1) is level
+    assert engine._tables_for_level_at.cache_info().hits == hits + 1
+
+
+def test_engine_never_reaches_the_brute_force_gauss_sum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an epsilon factor was summed over every unit")
+
+    monkeypatch.setattr(characters, "gauss_sum", refuse)
+    characters._eps_cached.cache_clear()
+    engine._tables_for_level_at.cache_clear()
+    engine._dual_at.cache_clear()
+    family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
+    for rep in family:
+        assert sup_norm(rep).certified, rep.spec_string()
+        n = rep.n
+        for k in range(n + 1):
+            r = Representative(-n - k, k, 1)
+            whittaker_value(rep, r)
+            if 2 * k > n:
+                whittaker_value(rep, r, direct=True)
 
 
 def _per_column_atkin_lehner(rep, r):
