@@ -5,7 +5,9 @@ uniformizer, stored as an exponent vector over the canonical generators of
 ``(Z/p^a)^x`` at its exact conductor ``a``.  An :class:`ExtendedCharacter`
 adds an exact root-of-unity value at the uniformizer.  Character values stay
 exact until a final embedding, so Gauss sums of thousands of terms carry no
-phase drift.
+phase drift.  :func:`character_table` holds every character of level ``k``
+at every unit, each entry a root of unity found by index from the exponent
+vectors, which is what every sum over the units reads.
 
 Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``).  The epsilon
 factor of a character ``mu`` of conductor ``a >= 1`` is, up to the scale
@@ -35,7 +37,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .numerics import ONE, RootOfUnity, q_power, unity_table
-from .padics import PAdicApprox, unit_group
+from .padics import PAdicApprox, _exponent_tuples, unit_group
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,6 @@ class UnitCharacter:
 
     def is_trivial(self) -> bool:
         return self.conductor == 0
-
-    def order(self) -> int:
-        n = 1
-        for e, (_, order) in zip(self.exps, self.group.generators):
-            n = math.lcm(n, order // math.gcd(order, e))
-        return n
 
     def eval_unit(self, u: int) -> RootOfUnity:
         """Value at a unit residue (known at least mod p^conductor)."""
@@ -106,10 +102,6 @@ class UnitCharacter:
 
     def inverse(self) -> "UnitCharacter":
         return UnitCharacter(self.p, self.conductor, tuple(-e for e in self.exps))
-
-    def __pow__(self, k: int) -> "UnitCharacter":
-        chi = UnitCharacter(self.p, self.conductor, tuple(k * e for e in self.exps))
-        return _reduce_to_conductor(chi)
 
     def __repr__(self):
         return f"UnitCharacter({format_char(self)!r})"
@@ -162,18 +154,35 @@ def make_character(p: int, level: int, exps) -> UnitCharacter:
 @lru_cache(maxsize=None)
 def characters_mod(p: int, k: int) -> tuple[UnitCharacter, ...]:
     """All characters of (Z/p^k)^x, in lexicographic exponent order."""
-    gens = unit_group(p, k).generators
-    orders = [order for _, order in gens]
+    orders = [order for _, order in unit_group(p, k).generators]
+    return tuple(make_character(p, k, exps) for exps in _exponent_tuples(orders))
 
-    def rec(i):
-        if i == len(orders):
-            yield ()
-            return
-        for e in range(orders[i]):
-            for tail in rec(i + 1):
-                yield (e,) + tail
 
-    return tuple(make_character(p, k, exps) for exps in rec(0))
+def character_table(p: int, k: int):
+    """``(units, rows, table)`` of ``(Z/p^k)^x`` at working precision:
+    ``units`` is :meth:`UnitGroupStructure.units`, ``rows[i][j]`` the
+    embedded value of ``characters_mod(p, k)[i]`` at ``units[j]`` and
+    ``table`` the same matrix in complex128 (read-only)."""
+    return _character_table_at(p, k, mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _character_table_at(p: int, k: int, prec: int):
+    # Characters and units are both listed by their level-k exponent tuples,
+    # e and j, in lexicographic order.  With N the lcm of the generator
+    # orders, the character e takes the value e(sum_g e_g j_g / ord(g)) at
+    # the unit j: the N-th root of unity of index sum_g e_g j_g N/ord(g).
+    group = unit_group(p, k)
+    orders = [order for _, order in group.generators]
+    n = math.lcm(*orders)
+    grid = np.array(list(_exponent_tuples(orders)),
+                    dtype=np.int64).reshape(group.size, len(orders))
+    index = (grid * (n // np.array(orders, dtype=np.int64))) % n @ grid.T % n
+    roots = unity_table(n)
+    rows = tuple(tuple(roots[x] for x in row) for row in index.tolist())
+    table = np.array([complex(z) for z in roots], dtype=np.complex128)[index]
+    table.flags.writeable = False
+    return group.units(), rows, table
 
 
 @lru_cache(maxsize=None)
@@ -383,9 +392,6 @@ class ExtendedCharacter:
     @property
     def conductor(self) -> int:
         return self.unit_part.conductor
-
-    def is_unramified(self) -> bool:
-        return self.conductor == 0
 
     def eval(self, x: PAdicApprox) -> RootOfUnity:
         t = x.valuation()

@@ -32,6 +32,7 @@ from mpmath import mp, mpc, mpf
 
 from .characters import (
     UnitCharacter,
+    character_table,
     characters_mod,
     epsilon_factor,
     epsilon_perturbation,
@@ -298,31 +299,6 @@ def tables_for_level(rep: Representation, k: int) -> Level:
     return _tables_for_level_at(rep, k, mp.prec, epsilon_perturbation())
 
 
-@lru_cache(maxsize=None)
-def _char_values_on_units(p: int, k: int, prec: int):
-    """(units, rows, table): rows[i][j] = (i-th character)(j-th unit)
-    embedded, and table the same matrix in complex128 (read-only)."""
-    chars = characters_mod(p, k)
-    units = unit_group(p, k).units()
-    rows = tuple(
-        tuple(mu.eval_unit(v).embed() for v in units) for mu in chars
-    )
-    table = np.array(rows, dtype=np.complex128)
-    table.flags.writeable = False
-    return units, rows, table
-
-
-def _unit_index(p: int, k: int, v: int) -> int:
-    """The position of the unit ``v mod p^k`` in ``unit_group(p, k).units()``,
-    which enumerates the units in dlog-lexicographic order: the mixed-radix
-    number of the dlog of ``v``."""
-    group = unit_group(p, k)
-    j = 0
-    for e, (_, order) in zip(group.dlog(v), group.generators):
-        j = j * order + e
-    return j
-
-
 # The Atkin-Lehner data of a descriptor: its contragredient and the
 # contragredient's root number.  Keyed like the level cache, so a perturbed
 # epsilon factor never outlives its perturbation.
@@ -355,8 +331,8 @@ def whittaker_value(rep: Representation, r: Representative,
         return mpc(0)
     if 2 * r.k <= n or direct:
         p, k = rep.p, r.k
-        rows = _char_values_on_units(p, k, mp.prec)[1]
-        j = _unit_index(p, k, r.v)
+        rows = character_table(p, k)[1]
+        j = unit_group(p, k).index(r.v)
         total = mpc(0)
         for i, c in tables_for_level(rep, k).live(r.t):
             total += c * rows[i][j]
@@ -439,13 +415,6 @@ def theorem_refs(rep: Representation):
     return lower, upper
 
 
-def _dlog_key(p: int, k: int, v: int):
-    group = unit_group(p, max(k, 0))
-    if not group.generators:
-        return ()
-    return group.dlog(v % group.modulus)
-
-
 def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     """Certified maximum of |W| over the whole group.
 
@@ -469,8 +438,7 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
         for k in range(n // 2 + 1):
             level = tables_for_level(fam, k)
             entries, n_screened, n_synthesized = _level_values(
-                level, _char_values_on_units(p, k, mp.prec), -k - n, t_max,
-                best, tie)
+                level, character_table(p, k), -k - n, t_max, best, tie)
             screened += n_screened
             synthesized += n_synthesized
             for value, t, v in entries:
@@ -492,9 +460,9 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
             v2 = (-v) % max(p**kn2, 2)
             if v2 == 0:
                 v2 = 1
-            mapped.append((k2, t2, _dlog_key(p, kn2, v2), v2, value))
+            mapped.append((k2, t2, unit_group(p, kn2).index(v2), v2, value))
         else:
-            mapped.append((k, t, _dlog_key(p, min(k, n - k), v), v, value))
+            mapped.append((k, t, unit_group(p, min(k, n - k)).index(v), v, value))
     mapped.sort(key=lambda e: (e[0], e[1], e[2]))
     k_w, t_w, _, v_w, h = mapped[0][0], mapped[0][1], mapped[0][2], mapped[0][3], best
     if h < 1 - tolerance:

@@ -39,10 +39,6 @@ def set_precision(bits: int) -> None:
     if bits < 53:
         raise ValueError(f"precision must be at least 53 bits, got {bits}")
     mp.prec = bits
-    _embed_cached.cache_clear()
-    _q_power_cached.cache_clear()
-    _scaled_embed_cached.cache_clear()
-    unity_table.cache_clear()
 
 
 def get_precision() -> int:
@@ -60,9 +56,13 @@ def _embed_cached(num: int, order: int, prec: int) -> mpc:
 
 
 @lru_cache(maxsize=64)
+def _unity_table_cached(order: int, prec: int) -> tuple:
+    return tuple(mp.expjpi(mpf(2 * j) / order) for j in range(order))
+
+
 def unity_table(order: int) -> tuple:
     """All order-th roots of unity ``(e^{2 pi i j/order})_j`` at working precision."""
-    return tuple(mp.expjpi(mpf(2 * j) / order) for j in range(order))
+    return _unity_table_cached(order, mp.prec)
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,6 @@ class RootOfUnity:
 
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity(-self.num, self.order)
-
-    conjugate = inverse
 
     def is_one(self) -> bool:
         return self.num == 0

@@ -228,6 +228,14 @@ class UnitGroupStructure:
             raise ValueError(f"{u} is not a unit mod {self.p}^{self.a}")
         return tuple(int(arr[u]) for arr in self._dlog)
 
+    def index(self, u: int) -> int:
+        """The position of the unit ``u`` in :meth:`units`: the mixed-radix
+        number of its dlog, so indices order units as their dlogs do."""
+        j = 0
+        for e, (_, order) in zip(self.dlog(u), self.generators):
+            j = j * order + e
+        return j
+
     def from_dlog(self, exps) -> int:
         r = 1
         for (g, order), e in zip(self.generators, exps):

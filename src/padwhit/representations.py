@@ -32,6 +32,7 @@ from .characters import (
     characters_mod,
     format_char,
     make_character,
+    parse_char,
     parse_unit_char,
 )
 
@@ -435,22 +436,16 @@ def parse_rep(kind: str, payload: str, p: int | None = None, oracle=None) -> Rep
         parts = re.split(r",(?=\d+\^)", payload)
         if len(parts) != 2:
             raise ValueError("--ps expects two comma-separated character specs")
-        chi1 = _parse_extended(parts[0], p)
-        chi2 = _parse_extended(parts[1], chi1.p)
+        chi1 = parse_char(parts[0], p)
+        chi2 = parse_char(parts[1], chi1.p)
         return PrincipalSeries(chi1, chi2)
     if kind == "st":
-        return SteinbergTwist(_parse_extended(payload, p))
+        return SteinbergTwist(parse_char(payload, p))
     if kind == "sc":
         if oracle is None:
             raise ValueError("supercuspidal descriptors need --oracle FILE")
         return load_oracle(oracle)
     raise ValueError(f"unknown representation kind {kind!r}")
-
-
-def _parse_extended(text: str, p: int | None) -> ExtendedCharacter:
-    from .characters import parse_char
-
-    return parse_char(text, p)
 
 
 def trivial_character(p: int) -> UnitCharacter:

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
 from .characters import (
     UnitCharacter,
+    character_table,
     characters_mod,
     critical_unit,
     epsilon_factor,
+    epsilon_perturbation,
     gauss_sum,
     gauss_sum_closed,
     verify_critical_unit,
@@ -101,10 +104,6 @@ class CheckReport:
         }
 
 
-def _unit_char_family(p: int, a_max: int):
-    return [mu for mu in characters_mod(p, a_max)]
-
-
 def _x_at_valuation(p: int, t: int, unit: int = 1, K: int = 8) -> PAdicApprox:
     return PAdicApprox(p, t, unit, max(K, -t + 2, 1))
 
@@ -123,7 +122,7 @@ def check_gauss_closed_form(p_list, a_max: int, v_range=(-4, 2),
     )
     for p in p_list:
         test_units = units or [1, unit_group(p, 1).generators[0][0] if p > 2 else 3]
-        for mu in _unit_char_family(p, a_max):
+        for mu in characters_mod(p, a_max):
             for t in range(v_range[0], v_range[1] + 1):
                 for u in test_units:
                     if u % p == 0:
@@ -144,7 +143,7 @@ def check_epsilon_properties(p_list, a_max: int) -> CheckReport:
         tolerance=TOL_EXACT,
     )
     for p in p_list:
-        for mu in _unit_char_family(p, a_max):
+        for mu in characters_mod(p, a_max):
             e = epsilon_factor(mu)
             e_inv = epsilon_factor(mu.inverse())
             rep.record(abs(abs(e) - 1), f"p={p} |eps| mu={format_char(mu)}")
@@ -183,16 +182,28 @@ def check_epsilon_alignment(p_list, r_values=(2, 3, 4)) -> CheckReport:
 
 def pair_sum(p: int, r: int, chi: UnitCharacter, v: int) -> mpc:
     """sum over cond(mu) = r of eps(1/2,mu^-1) eps(1/2,mu chi) mu(v)."""
-    total = mpc(0)
-    for mu in characters_mod(p, r):
-        if mu.conductor != r:
-            continue
-        total += (
-            epsilon_factor(mu.inverse())
-            * epsilon_factor(mu * chi)
-            * mu.eval_unit(v).embed()
-        )
-    return total
+    transform = _pair_transform(p, r, chi, mp.prec, epsilon_perturbation())
+    return transform[unit_group(p, r).index(v)]
+
+
+# Bounded, and keyed like the level cache, so a perturbed epsilon factor
+# never outlives its perturbation.
+@lru_cache(maxsize=128)
+def _pair_transform(p: int, r: int, chi: UnitCharacter, prec: int,
+                    eps_perturbation) -> tuple:
+    """:func:`pair_sum` at every unit of ``unit_group(p, r).units()``: each
+    weight formed once, the terms summed in :func:`characters_mod` order."""
+    units, rows, _ = character_table(p, r)
+    terms = [(epsilon_factor(mu.inverse()) * epsilon_factor(mu * chi), row)
+             for mu, row in zip(characters_mod(p, r), rows)
+             if mu.conductor == r]
+    transform = []
+    for j in range(len(units)):
+        total = mpc(0)
+        for weight, row in terms:
+            total += weight * row[j]
+        transform.append(total)
+    return tuple(transform)
 
 
 def check_pair_sum_dichotomy(p_list, r_max: int = 4) -> CheckReport:
@@ -227,29 +238,6 @@ def check_pair_sum_dichotomy(p_list, r_max: int = 4) -> CheckReport:
                     rep.record(abs(s - want),
                                f"p={p} r={r} r'={rp} v={v}")
     return rep
-
-
-def check_gl1(p_list, a_max: int) -> CheckReport:
-    """Aggregate GL(1) check; passes iff all component checks pass."""
-    parts = [
-        check_gauss_closed_form(p_list, a_max),
-        check_epsilon_properties(p_list, a_max),
-        check_epsilon_alignment(p_list),
-        check_pair_sum_dichotomy(p_list),
-    ]
-    agg = CheckReport(
-        "gl1-all",
-        "all GL(1) component checks",
-        f"p in {list(p_list)}, cond <= {a_max}",
-        tolerance=TOL_EXACT,
-    )
-    for part in parts:
-        agg.cases += part.cases
-        if not part.passed:
-            agg.passed = False
-            agg.worst_case = part.check_id
-        agg.max_deviation = max(agg.max_deviation, part.max_deviation)
-    return agg
 
 
 # ---------------------------------------------------------------------------

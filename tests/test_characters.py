@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpc, mpf
 
+from padwhit import characters
 from padwhit.characters import (
     ExtendedCharacter,
+    character_table,
     characters_mod,
     critical_unit,
     epsilon_factor,
@@ -205,6 +208,49 @@ def test_pair_sum_spot_values():
         assert abs(abs(pair_sum(3, 2, chi, v)) - mag) < mpf("1e-18")
     for v in (1, 4, 7, 8):
         assert abs(pair_sum(3, 2, chi, v)) < mpf("1e-18")
+
+
+def test_pair_sum_follows_epsilon_perturbation():
+    from padwhit.verify import pair_sum
+
+    chi = quad3()
+    plain = pair_sum(3, 2, chi, 2)
+    with perturb_epsilon(1e-3):
+        assert abs(pair_sum(3, 2, chi, 2) - plain) > mpf("1e-6")
+    assert repr(pair_sum(3, 2, chi, 2)) == repr(plain)
+
+
+def _character_table_by_evaluation(p, k):
+    """The character table as it was built before indexing: one eval_unit
+    per entry."""
+    units = unit_group(p, k).units()
+    return tuple(tuple(mu.eval_unit(v).embed() for v in units)
+                 for mu in characters_mod(p, k))
+
+
+@pytest.mark.parametrize("p, k", [(2, k) for k in range(6)]
+                         + [(3, k) for k in range(5)]
+                         + [(5, k) for k in range(5)]
+                         + [(7, k) for k in range(4)])
+def test_character_table_matches_evaluation(p, k):
+    for bits in (64, 128):
+        with mp.workprec(bits):
+            units, rows, table = character_table(p, k)
+            want = _character_table_by_evaluation(p, k)
+            assert units == unit_group(p, k).units()
+            assert rows == want
+            assert np.array_equal(table, np.array(want, dtype=np.complex128))
+            assert not table.flags.writeable
+
+
+def test_character_table_evaluates_no_character(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a character table entry was evaluated one by one")
+
+    monkeypatch.setattr(characters.UnitCharacter, "eval_unit", refuse)
+    characters._character_table_at.cache_clear()
+    units, rows, _ = character_table(5, 4)
+    assert len(rows) == len(units) == 500
 
 
 def test_extended_character_eval_and_epsilon():

@@ -561,11 +561,11 @@ def test_whittaker_value_matches_per_column_loop(bits):
 @pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (2, 2), (2, 4), (3, 1),
                                   (3, 3), (5, 2)])
 def test_unit_index_is_position_in_units(p, k):
-    units = unit_group(p, k).units()
-    assert [engine._unit_index(p, k, u) for u in units] == list(range(len(units)))
+    group = unit_group(p, k)
+    units = group.units()
+    assert [group.index(u) for u in units] == list(range(len(units)))
     # Any representative of the class mod p^k has the same index.
-    assert [engine._unit_index(p, k, u + 3 * p**k) for u in units] \
-        == list(range(len(units)))
+    assert [group.index(u + 3 * p**k) for u in units] == list(range(len(units)))
 
 
 def test_level_indexes_the_stored_coefficients_by_t():
@@ -704,7 +704,7 @@ def _exhaustive_sup_norm_oracle(rep):
     for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
         for k in range(n // 2 + 1):
             tables = tables_for_level(fam, k).columns
-            units, rows, _ = engine._char_values_on_units(p, k, mp.prec)
+            units, rows, _ = characters.character_table(p, k)
             index = {mu: i for i, mu in enumerate(characters_mod(p, k))}
             support = sorted({t for tab in tables for t in tab.coeffs})
             for t in support:
@@ -747,7 +747,7 @@ def _exhaustive_sup_norm_oracle(rep):
         if is_dual:
             t, k = t + 2 * k - n, n - k
             v = (-v) % max(p ** min(k, n - k), 2) or 1
-        mapped.append((k, t, engine._dlog_key(p, min(k, n - k), v), v))
+        mapped.append((k, t, unit_group(p, min(k, n - k)).dlog(v), v))
     k_w, t_w, _, v_w = min(mapped, key=lambda e: e[:3])
     certified = tail_sup < best * (1 - mpf("1e-12"))
     return best, Representative(t_w, k_w, v_w), certified, tail_sup
@@ -788,7 +788,7 @@ def test_screen_bound_holds_on_random_coefficients(bits):
     try:
         set_precision(bits)
         for p, k in ((2, 4), (3, 3), (5, 2), (7, 1)):
-            units, rows, table = engine._char_values_on_units(p, k, mp.prec)
+            units, rows, table = characters.character_table(p, k)
             multi = _random_rows(rng, len(rows), 40)
             values, bounds = engine._screen(multi, table)
             for r, live in enumerate(multi):
@@ -803,7 +803,7 @@ def test_screen_bound_holds_on_random_coefficients(bits):
 
 def test_screen_falls_back_on_non_finite_coefficient():
     p, k, lo, hi = 3, 2, -3, 1
-    char_values = engine._char_values_on_units(p, k, mp.prec)
+    char_values = characters.character_table(p, k)
     units, rows, table = char_values
     rng = random.Random(11)
     coeffs = [{t: mpc(rng.random(), rng.random()) for t in range(lo, hi + 1)}
@@ -839,7 +839,7 @@ def test_screen_keeps_near_ties():
     try:
         set_precision(53)
         p, k = 3, 1
-        char_values = engine._char_values_on_units(p, k, mp.prec)
+        char_values = characters.character_table(p, k)
         units = char_values[0]
         s = 1 - mpf("1e-12")
         level = engine.Level(

@@ -11,6 +11,7 @@ from padwhit.numerics import (
     expand_geometric,
     get_precision,
     set_precision,
+    unity_table,
 )
 
 
@@ -229,3 +230,10 @@ def test_set_precision_roundtrip():
         assert abs(abs(r.embed()) - 1) < mpf(2) ** (1 - 96 + 2)
     finally:
         set_precision(old)
+
+
+def test_unity_table_follows_working_precision():
+    unity_table(7)  # cached at the default precision first
+    with mp.workprec(80):
+        assert unity_table(7)[1] == mp.expjpi(mpf(2) / 7)
+    assert unity_table(7)[1] == mp.expjpi(mpf(2) / 7)
