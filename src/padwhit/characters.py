@@ -7,7 +7,7 @@ adds an exact root-of-unity value at the uniformizer.  Character values stay
 exact until a final embedding, so Gauss sums of thousands of terms carry no
 phase drift.  :func:`character_table` holds every character of level ``k``
 at every unit, each entry a root of unity found by index from the exponent
-vectors, which is what every sum over the units reads.
+vectors; value synthesis and the epsilon pair sums read it.
 
 Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``).  The epsilon
 factor of a character ``mu`` of conductor ``a >= 1`` is, up to the scale
