@@ -21,7 +21,6 @@ from .numerics import (
     set_precision,
 )
 from .padics import (
-    LocalFieldData,
     PAdicApprox,
     PrecisionError,
     psi_eval,

@@ -12,17 +12,40 @@ vectors; value synthesis and the epsilon pair sums read it.
 Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``).  The epsilon
 factor of a character ``mu`` of conductor ``a >= 1`` is, up to the scale
 ``zeta(1) q^(-a/2)``, the Gauss sum of ``nu = mu^-1`` at valuation ``-a``,
-but it is never summed over all ``phi(p^a)`` units.  With ``c = floor(a/2)``, every unit is
-``y = y0 (1 + p^(a-c) z)`` with ``y0`` a unit mod ``p^(a-c)`` and ``z`` mod
-``p^c``, and since ``2(a - c) >= a``, ``z -> nu(1 + p^(a-c) z)`` is the
-additive character ``e(beta z / p^c)``, ``nu(1 + p^(a-c)) = e(beta / p^c)``.
-The sum over ``z`` of ``e((y0 + beta) z / p^c)`` vanishes unless
-``y0 = -beta (mod p^c)``, so only that coset survives (the stationary phase
-of Iwaniec-Kowalski, *Analytic Number Theory*, Lemmas 12.2-12.3): one exact
-root for even ``a``, ``p`` roots over ``sqrt(p)`` for odd ``a >= 3``, the
-``p - 1`` units at ``a = 1``.  The brute-force :func:`gauss_sum` stays as the
-independent oracle that the tests and ``verify`` compare against.  Epsilon
-factors are cached, since sup-norm scans reuse thousands of them.
+but it is never summed over all ``phi(p^a)`` units.  With ``c = floor(a/2)``,
+every unit is ``y = y0 (1 + p^(a-c) z)`` with ``y0`` a unit mod ``p^(a-c)``
+and ``z`` mod ``p^c``, and since ``2(a - c) >= a``, ``z -> nu(1 + p^(a-c) z)``
+is the additive character ``e(beta z / p^c)``, ``nu(1 + p^(a-c)) =
+e(beta / p^c)``.  The sum over ``z`` of ``e((y0 + beta) z / p^c)`` vanishes
+unless ``y0 = -beta (mod p^c)``, so only that coset survives (the
+stationary phase of Iwaniec-Kowalski, *Analytic Number Theory*, Lemmas
+12.2-12.3), and ``epsilon(1/2, mu) = p^(c - a/2) sum nu(y) e(y / p^a)`` over
+its units ``y mod p^(a-c)``, each term an exact root of unity.  For
+``a >= 2`` that sum is itself a root of unity, decided in integers by
+:func:`epsilon_root`:
+
+* even ``a``: the coset is the single unit ``y0``, and ``p^(c - a/2) = 1``;
+* odd ``a >= 3`` and odd ``p``: the ``p`` terms at ``y = y0 + p^c z`` are
+  ``r0 e(k_z / p)``, with ``k_z = A z + B z^2 (mod p)`` and ``B != 0``
+  (second-order stationary phase; checked on the integers ``k_z``, and
+  automatic at ``p = 3``, where any three values are a quadratic).
+  Completing the square, ``sum_z e((A z + B z^2) / p) = e(-A^2 (4B)^-1 / p)
+  (B/p) eps_p sqrt(p)``, with the Legendre symbol ``(B/p)`` and the sign of
+  the quadratic Gauss sum ``eps_p = 1`` for ``p = 1 (mod 4)``, ``i`` for
+  ``p = 3 (mod 4)`` (Ireland-Rosen, ch. 6).  So ``epsilon = r0
+  e(-A^2 (4B)^-1 / p) (B/p) eps_p``;
+* odd ``a >= 3`` and ``p = 2``: the two terms are ``r0`` and ``r0 i^(+-1)``,
+  and ``1 +- i = sqrt(2) e(+-1/8)``, so ``epsilon = r0 e(+-1/8)``.
+
+Any other pattern of phases raises ``RuntimeError``.  Only conductor 1
+keeps a numeric sum: ``epsilon = p^(-1/2) sum nu(y) e(y/p)`` over the
+``p - 1`` units is a normalized Gauss sum over ``F_p``, a root of unity
+only for the quadratic character, and is embedded term by term at working
+precision; every twist that involves it (``TwistData.root`` is None) takes
+the ``mpc`` path of the column solve.  The brute-force :func:`gauss_sum`
+stays as the independent oracle that the tests and ``verify`` compare
+against.  Epsilon factors are cached, since sup-norm scans reuse thousands
+of them.
 """
 
 from __future__ import annotations
@@ -36,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, RootOfUnity, q_power, unity_table
+from .numerics import MINUS_ONE, ONE, RootOfUnity, q_power, unity_sum, unity_table
 from .padics import PAdicApprox, _exponent_tuples, unit_group
 
 
@@ -76,12 +99,6 @@ class UnitCharacter:
             num = num * order + e * exp_dl * den
             den *= order
         return RootOfUnity(num, den)
-
-    def eval(self, x) -> RootOfUnity:
-        """Value at a unit residue or at a PAdicApprox (any valuation)."""
-        if isinstance(x, PAdicApprox):
-            return self.eval_unit(x.unit_mod(max(self.conductor, 1)))
-        return self.eval_unit(int(x))
 
     def at_minus_one(self) -> RootOfUnity:
         return self.eval_unit(-1 % max(self.p**self.conductor, 2))
@@ -166,8 +183,9 @@ def character_table(p: int, k: int):
     return _character_table_at(p, k, mp.prec)
 
 
-@lru_cache(maxsize=None)
-def _character_table_at(p: int, k: int, prec: int):
+def character_phases(p: int, k: int):
+    """``(n, index)``: ``characters_mod(p, k)[i]`` takes the value
+    ``e(index[i, j] / n)`` at ``unit_group(p, k).units()[j]``."""
     # Characters and units are both listed by their level-k exponent tuples,
     # e and j, in lexicographic order.  With N the lcm of the generator
     # orders, the character e takes the value e(sum_g e_g j_g / ord(g)) at
@@ -177,7 +195,13 @@ def _character_table_at(p: int, k: int, prec: int):
     n = math.lcm(*orders)
     grid = np.array(list(_exponent_tuples(orders)),
                     dtype=np.int64).reshape(group.size, len(orders))
-    index = (grid * (n // np.array(orders, dtype=np.int64))) % n @ grid.T % n
+    return n, (grid * (n // np.array(orders, dtype=np.int64))) % n @ grid.T % n
+
+
+@lru_cache(maxsize=None)
+def _character_table_at(p: int, k: int, prec: int):
+    group = unit_group(p, k)
+    n, index = character_phases(p, k)
     roots = unity_table(n)
     rows = tuple(tuple(roots[x] for x in row) for row in index.tolist())
     table = np.array([complex(z) for z in roots], dtype=np.complex128)[index]
@@ -200,17 +224,21 @@ def _char_phase_data(mu: UnitCharacter):
     d = 1
     for _, order in group.generators:
         d = math.lcm(d, order)
-    mod = p_pow = mu.p**mu.conductor
-    nums = np.zeros(p_pow, dtype=np.int64)
+    nums = np.zeros(mu.p**mu.conductor, dtype=np.int64)
     for e, arr, (_, order) in zip(mu.exps, group.dlog_arrays(), group.generators):
         nums = (nums + e * np.where(arr >= 0, arr, 0) * (d // order)) % d
-    del mod
     return d, nums
 
 
 def gauss_sum(x: PAdicApprox, mu: UnitCharacter) -> mpc:
     """Unit-average Gauss transform: mean of psi(x*y)*mu(y) over y in (Z/p^M)^x,
-    M = max(cond(mu), -v(x), 1).  Summed as exact phases, embedded once."""
+    M = max(cond(mu), -v(x), 1), summed by brute force over every unit.
+
+    Each term is an exact phase; their histogram is summed against a
+    fixed-point root table by :func:`unity_sum`, and the mean is within
+    ``2^(1 - prec) |G| + 2^(3/2 - prec - 32)`` of the exact value ``G``: the
+    sum's bound divided by the ``phi(p^M)`` terms, plus one rounding of the
+    division."""
     p = mu.p
     if x.exact_zero:
         return mpc(1 if mu.is_trivial() else 0)
@@ -228,15 +256,11 @@ def gauss_sum(x: PAdicApprox, mu: UnitCharacter) -> mpc:
     else:
         nums2 = mu_nums[ys % (p**mu.conductor)]
     L = math.lcm(d1, d2)
-    joint = (nums1 * (L // d1) + nums2 * (L // d2)) % L if L > 1 else np.zeros(1)
-    counts = np.bincount(np.atleast_1d(np.asarray(joint, dtype=np.int64)), minlength=L)
     if L == 1:
-        return mpc(len(ys)) / len(ys)
-    roots = unity_table(L)
-    total = mpc(0)
-    for j in np.flatnonzero(counts):
-        total += int(counts[j]) * roots[j]
-    return total / len(ys)
+        return mpc(1)
+    # L > 1: x has negative valuation or mu is ramified, so an array.
+    joint = (nums1 * (L // d1) + nums2 * (L // d2)) % L
+    return unity_sum(np.asarray(joint, dtype=np.int64), L) / len(ys)
 
 
 def zeta1(p: int) -> mpf:
@@ -295,17 +319,95 @@ def epsilon_perturbation() -> mpf:
     return _eps_perturbation[0]
 
 
-@lru_cache(maxsize=None)
-def _eps_cached(mu: UnitCharacter, prec: int) -> mpc:
+def perturbed(value, count: int = 1):
+    """``value`` times ``(1 + delta)^count`` under :func:`perturb_epsilon`
+    (``count`` ramified epsilon factors, negative in a denominator), and
+    ``value`` itself outside it."""
+    delta = _eps_perturbation[0]
+    return value * (1 + delta) ** count if delta and count else value
+
+
+def _stationary_terms(mu: UnitCharacter) -> list:
+    """The exact terms ``nu(y) e(y / p^a)``, ``nu = mu^-1``, over the units
+    ``y mod p^(a-c)`` with ``y = -beta (mod p^c)``, in increasing ``y``: the
+    unit ``y0`` for even ``a``, ``y0 + p^c z`` for ``z < p`` at odd
+    ``a >= 3``, the ``p - 1`` units at ``a = 1``."""
     p, a = mu.p, mu.conductor
     nu = mu.inverse()
     beta, c = _critical_phase(nu)
     step, mod = p**c, p**a
+    return [nu.eval_unit(y) * RootOfUnity(y, mod)
+            for y in range(-beta % step, p ** (a - c), step) if y % p]
+
+
+def _legendre(b: int, p: int) -> RootOfUnity:
+    """The Legendre symbol ``(b/p)`` of a unit ``b``, as the root 1 or -1."""
+    return ONE if pow(b, (p - 1) // 2, p) == 1 else MINUS_ONE
+
+
+def _sqrt_p_phase(p: int) -> RootOfUnity:
+    """``eps_p``: the quadratic Gauss sum ``sum_z e(z^2 / p)`` over
+    ``sqrt(p)``, 1 for ``p = 1 (mod 4)`` and ``i`` for ``p = 3 (mod 4)``."""
+    return ONE if p % 4 == 1 else RootOfUnity(1, 4)
+
+
+# p = 2, odd conductor: the second stationary term over the first, and the
+# root (1 + that ratio) / sqrt(2).
+_P2_COSET_PHASE = {RootOfUnity(1, 4): RootOfUnity(1, 8),
+                   RootOfUnity(3, 4): RootOfUnity(7, 8)}
+
+
+def _coset_phase(p: int, ratios) -> RootOfUnity:
+    """The root of unity ``p^(-1/2) sum_z ratios[z]`` for the stationary
+    terms of an odd conductor ``a >= 3`` over the first one; ``RuntimeError``
+    when the sum is not a root of unity times ``sqrt(p)``."""
+    if p == 2:
+        phase = _P2_COSET_PHASE.get(ratios[1])
+        if phase is None:
+            raise RuntimeError(f"stationary terms 1, {ratios[1]} at p = 2 do not "
+                               "sum to a root of unity times sqrt(2)")
+        return phase
+    k = []
+    for r in ratios:
+        if p % r.order:
+            raise RuntimeError(f"stationary term ratio {r} is not a {p}-th root of unity")
+        k.append(r.num * (p // r.order))
+    # k_z = A z + B z^2: B and A from z = 1 and z = 2, then checked at every z.
+    B = (k[2] - 2 * k[1]) * pow(2, -1, p) % p
+    A = (k[1] - B) % p
+    if B == 0 or any((A * z + B * z * z - kz) % p for z, kz in enumerate(k)):
+        raise RuntimeError(f"stationary phases {k} mod {p} are not A z + B z^2 "
+                           "with B != 0; their sum is not a root of unity times sqrt(p)")
+    return RootOfUnity(-A * A * pow(4 * B, -1, p), p) * _legendre(B, p) * _sqrt_p_phase(p)
+
+
+@lru_cache(maxsize=None)
+def epsilon_root(mu: UnitCharacter) -> RootOfUnity | None:
+    """epsilon(1/2, mu) as an exact root of unity: 1 when unramified, the
+    stationary coset decided in integers for conductor ``a >= 2`` (see the
+    module docstring), and None at conductor 1, where it is a normalized
+    Gauss sum over ``F_p``."""
+    a = mu.conductor
+    if a == 0:
+        return ONE
+    if a == 1:
+        return None
+    terms = _stationary_terms(mu)
+    r0 = terms[0]
+    if a % 2 == 0:
+        return r0
+    return r0 * _coset_phase(mu.p, [t * r0.inverse() for t in terms])
+
+
+@lru_cache(maxsize=None)
+def _eps_cached(mu: UnitCharacter, prec: int) -> mpc:
+    root = epsilon_root(mu)
+    if root is not None:
+        return root.embed()
     total = mpc(0)
-    for y in range(-beta % step, p ** (a - c), step):
-        if y % p:
-            total += (nu.eval_unit(y) * RootOfUnity(y, mod)).embed()
-    return total * q_power(p, 1) if a % 2 else total
+    for term in _stationary_terms(mu):
+        total += term.embed()
+    return total * q_power(mu.p, 1)
 
 
 def epsilon_factor(mu: UnitCharacter) -> mpc:
@@ -320,16 +422,14 @@ def epsilon_factor(mu: UnitCharacter) -> mpc:
 
         ``epsilon(1/2, mu) = p^(c - a/2) sum nu(y) e(y / p^a)``
 
-    over the units ``y mod p^(a-c)`` with ``y = -beta (mod p^c)``, each term
-    an exact root of unity embedded once (Iwaniec-Kowalski, *Analytic Number
-    Theory*, Lemmas 12.2-12.3).
+    over the units ``y mod p^(a-c)`` with ``y = -beta (mod p^c)``
+    (Iwaniec-Kowalski, *Analytic Number Theory*, Lemmas 12.2-12.3).  For
+    ``a >= 2`` this is :func:`epsilon_root`, embedded once; at ``a = 1`` the
+    ``p - 1`` terms are embedded and summed.
     """
     if mu.conductor == 0:
         return mpc(1)
-    value = _eps_cached(mu, mp.prec)
-    if _eps_perturbation[0]:
-        value = value * (1 + _eps_perturbation[0])
-    return value
+    return perturbed(_eps_cached(mu, mp.prec))
 
 
 def _critical_phase(chi: UnitCharacter) -> tuple[int, int]:
@@ -393,40 +493,36 @@ class ExtendedCharacter:
     def conductor(self) -> int:
         return self.unit_part.conductor
 
-    def eval(self, x: PAdicApprox) -> RootOfUnity:
-        t = x.valuation()
-        return self.pi_value**t * self.unit_part.eval_unit(
-            x.unit_mod(max(self.conductor, 1))
-        )
-
     def at_minus_one(self) -> RootOfUnity:
         return self.unit_part.at_minus_one()
 
     def twist(self, mu: UnitCharacter) -> "ExtendedCharacter":
         return ExtendedCharacter(self.unit_part * mu, self.pi_value)
 
-    def __mul__(self, other: "ExtendedCharacter") -> "ExtendedCharacter":
-        return ExtendedCharacter(
-            self.unit_part * other.unit_part, self.pi_value * other.pi_value
-        )
-
     def inverse(self) -> "ExtendedCharacter":
         return ExtendedCharacter(self.unit_part.inverse(), self.pi_value.inverse())
 
+    def epsilon_root(self) -> RootOfUnity | None:
+        """epsilon(1/2, .) exactly, None at conductor 1: the unramified part
+        shifts the phase by its value at the uniformizer raised to the
+        conductor exponent."""
+        root = epsilon_root(self.unit_part)
+        if root is None or self.pi_value.is_one():
+            return root
+        return self.pi_value**self.conductor * root
+
     def epsilon(self) -> mpc:
-        """epsilon(1/2, .): the unramified part shifts the phase by its value
-        at the uniformizer raised to the conductor exponent."""
+        """epsilon(1/2, .) at working precision, perturbation included."""
         a = self.conductor
         if a == 0:
             return mpc(1)
+        root = self.epsilon_root()
+        if root is not None:
+            return perturbed(root.embed())
         phase = self.pi_value**a
         if phase.is_one():
             return epsilon_factor(self.unit_part)
         return phase.embed() * epsilon_factor(self.unit_part)
-
-    def satake(self) -> RootOfUnity | None:
-        """Present iff unramified; then L(s, chi) = (1 - satake q^-s)^-1."""
-        return self.pi_value if self.conductor == 0 else None
 
     def __repr__(self):
         return f"ExtendedCharacter({format_char(self)!r})"

@@ -36,10 +36,12 @@ from .characters import (
     characters_mod,
     epsilon_factor,
     epsilon_perturbation,
+    epsilon_root,
+    perturbed,
     zeta1,
     zeta1_q_power,
 )
-from .numerics import ONE, RootOfUnity, expand_geometric, q_power
+from .numerics import ONE, RootOfUnity, ScaledRoot, expand_geometric, q_power
 from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
 from .representations import Representation, trivial_character
 
@@ -89,24 +91,39 @@ class CoefficientTable:
     """Fourier coefficients ``t -> c[t,k](mu)`` of one unit character: those
     up to the window stored, a tail certificate for every ``t`` beyond it,
     and the partial fractions ``(b0, b1, w)`` that give each of them as
-    ``sum (b0 + b1 d) w^d`` with ``d = t + A`` (:func:`_closed_form`)."""
+    ``sum (b0 + b1 d) w^d`` with ``d = t + A`` (:func:`_closed_form`).
 
-    __slots__ = ("k", "mu", "A", "coeffs", "tail", "parts")
+    ``moduli``, when not None, is ``(d_lo, K, sigma, tau)`` with
+    ``|c[t]| = K q^(-(sigma d + tau)/2)`` for every ``d >= d_lo``: a
+    monomial column whose head is exact, or one simple partial fraction."""
+
+    __slots__ = ("k", "mu", "A", "coeffs", "tail", "parts", "moduli")
 
     def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict,
-                 tail: TailBound, parts: tuple):
+                 tail: TailBound, parts: tuple, moduli: tuple | None = None):
         self.k = k
         self.mu = mu
         self.A = A
         self.coeffs = coeffs
         self.tail = tail
         self.parts = parts
+        self.moduli = moduli
 
     def value(self, t: int) -> mpc:
         d = t + self.A
         if not self.parts or d <= self.tail.d_from:
             return self.coeffs.get(t, mpc(0))
         return _closed_form(self.parts, d, d)[0]
+
+    def modulus(self, t: int, c: mpc) -> mpf:
+        """``|c|`` for the coefficient ``c`` at ``t``: read off ``moduli``
+        where they cover ``t``, else ``abs(c)``."""
+        if self.moduli is not None:
+            d_lo, K, sigma, tau = self.moduli
+            d = t + self.A
+            if d >= d_lo:
+                return K * q_power(self.tail.q, sigma * d + tau)
+        return abs(c)
 
     def __repr__(self):
         return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.coeffs)} coeffs)"
@@ -156,6 +173,19 @@ def coefficient_table(rep: Representation, k: int,
     return solve_column(rep, k, mu, rep.diagonal_ratio())
 
 
+@lru_cache(maxsize=256)
+def _rational(num: int, den: int, prec: int) -> mpf:
+    return mpf(num) / den
+
+
+_ZERO = mpf(0)
+
+
+def _no_tail(d_from: int, A: int, p: int) -> TailBound:
+    """The tail bound of a column with no Satake root left: zero."""
+    return TailBound(_ZERO, _ZERO, _ZERO, d_from, A, p)
+
+
 def solve_column(rep: Representation, k: int, mu: UnitCharacter,
                  ratio) -> CoefficientTable:
     """The column (k, mu) from the twist data of ``rep`` and the exact
@@ -166,15 +196,27 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
     dual Euler roots and the ``a_i`` the Satake parameters.  A dual factor
     with ``c_j a_i = 1`` cancels its Euler factor to ``-c_j X^-1``, an exact
     decision on :class:`ScaledRoot` values.
+
+    ``C`` is kept as ``num/den`` times an exact :class:`ScaledRoot` times a
+    numeric factor, which is there only when ``mu`` or the twist has an
+    epsilon factor that is not a root of unity (conductor 1, or an oracle
+    table).  Otherwise ``C`` has no complex division, and a monomial column
+    (no dual factor left, no Satake root) is its rational times one exact
+    root, embedded once.  :func:`perturb_epsilon` scales the rational by
+    ``(1 + delta)`` per exact ramified epsilon factor in the numerator and
+    by ``(1 + delta)^-1`` per one in the denominator.
     """
     p = rep.p
     if mu.conductor > k:
-        zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, 0, p)
-        return CoefficientTable(k, mu, 0, {}, zero_tail, ())
+        return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, p), ())
     td = rep.twist_data(mu)
     duals = [g.shift(2) for g in td.l_den]
+    approx = None
+    ramified = 0
+    root = ScaledRoot(ONE, p)
     if mu.is_trivial() and ratio is None:
-        coeff, e = mpc({0: 1, 1: -zeta1(p) / p}.get(k, 0)), 0
+        # 1 at k = 0; -zeta(1)/q = -1/(p - 1) at k = 1.
+        (num, den), e = {0: (1, 1), 1: (-1, p - 1)}.get(k, (0, 1)), 0
     elif mu.is_trivial():
         # The diagonal's geometric tail cancels the dual Euler factor with
         # root rho; as 1 + zeta(1)/q = zeta(1), the finite head and that tail
@@ -186,49 +228,73 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
                 "no dual Euler factor cancels the geometric diagonal tail"
             )
         del duals[matches[0]]
-        coeff, e = mpc(1), 0
+        num, den, e = 1, 1, 0
         if k >= 1:
-            coeff, e = (-zeta1(p) / p) * (rho ** (k - 1)).embed(), 1 - k
+            num, den, root, e = -1, p - 1, rho ** (k - 1), 1 - k
             duals.append(rho.shift(-2))
     else:
+        # zeta(1) q^(-a/2) eps(mu), with zeta(1) = p/(p - 1).
         a_star = k - mu.conductor
-        coeff = zeta1_q_power(p, mu.conductor) * epsilon_factor(mu)
-        e = -a_star
+        num, den, e = p, p - 1, -a_star
+        eps_mu = epsilon_root(mu)
+        if eps_mu is None:
+            eps_mu, approx = ONE, epsilon_factor(mu)
+        else:
+            ramified = 1
+        root = ScaledRoot(eps_mu, p, mu.conductor)
         if ratio is not None:
-            coeff *= (ratio.shift(1) ** a_star).embed()
+            root = root * ratio.shift(1) ** a_star
         elif a_star != 0:
-            coeff = mpc(0)
+            num = 0
 
-    if not coeff:
-        zero_tail = TailBound(mpf(0), mpf(0), mpf(0), -10**9, td.A, p)
-        return CoefficientTable(k, mu, td.A, {}, zero_tail, ())
+    if not num:
+        return CoefficientTable(k, mu, td.A, {}, _no_tail(-10**9, td.A, p), ())
 
     roots = list(td.l_num)
     for c in list(duals):
         if c.inverse() in roots:
             roots.remove(c.inverse())
             duals.remove(c)
-            coeff *= -c.embed()
+            num, root = -num, root * c
             e -= 1
-    # prod_j (1 - c_j X^-1), then the monomial, then the sign over epsilon.
-    dual_poly = [mpc(1)]
-    if duals:
-        dual_poly.append(-sum((c.embed() for c in duals), mpc(0)))
-    if len(duals) == 2:
-        dual_poly.append(duals[0].embed() * duals[1].embed())
-    scale = _sign_at_minus_one(rep.omega) / td.eps
-    terms = {e - j: (coeff * x) * scale for j, x in enumerate(dual_poly)}
-    head, parts = expand_geometric(terms, tuple(roots))
+    # The sign omega(-1) over the twist's epsilon factor.
+    num *= _sign_at_minus_one(rep.omega)
+    if td.root is not None:
+        root = root * ScaledRoot(td.root.inverse(), p)
+        ramified -= td.ramified
+    else:
+        approx = 1 / td.eps if approx is None else approx / td.eps
+    scalar = perturbed(_rational(num, den, mp.prec), ramified)
     A = td.A
-    coeffs = {d - A: c * q_power(p, d) for d, c in head.items()}
     d_last = _window(rep) + A
+    if not duals and not roots and approx is None:
+        # theta_e q^(-e/2), the whole column, is exact up to its rational.
+        c = scalar * root.shift(e).embed()
+        return CoefficientTable(k, mu, A, {e - A: c}, _no_tail(d_last, A, p), (),
+                                (e, abs(scalar), 1, root.s))
+
+    coeff = scalar * root.embed()
+    if approx is not None:
+        coeff *= approx
+    # C X^e prod_j (1 - c_j X^-1), with C = coeff.
+    terms = {e: coeff}
+    if duals:
+        terms[e - 1] = -coeff * sum((c.embed() for c in duals), mpc(0))
+    if len(duals) == 2:
+        terms[e - 2] = coeff * (duals[0] * duals[1]).embed()
+    head, parts = expand_geometric(terms, tuple(roots))
+    coeffs = {d - A: c * q_power(p, d) for d, c in head.items()}
     # Past the head, theta_d q^(-d/2) = sum (b0 + b1 d) w^d, w = a q^(-1/2).
     parts_w = tuple((b0, b1, a.shift(1)) for b0, b1, a in parts)
+    moduli = None
     if parts_w:
         # The head ends at e, the degree of the leading numerator term.
         for d, c in enumerate(_closed_form(parts_w, e + 1, d_last), e + 1):
             if c:
                 coeffs[d - A] = c
+        if len(parts_w) == 1 and not parts_w[0][1]:
+            b0, _, w = parts_w[0]
+            moduli = (e + 1, abs(b0), w.s, 0)
     # The roots left after the cancellation; none: an identically zero tail.
     rho = max((a.modulus() for a in roots), default=mpf(0))
     a0 = a1 = mpf(0)
@@ -237,7 +303,7 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
     tail = TailBound(a0, a1, rho, d_last, A, p)
-    return CoefficientTable(k, mu, A, coeffs, tail, parts_w)
+    return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli)
 
 
 # Bounded like _dual_at, which wraps it, so that a long scan does not keep
@@ -441,10 +507,12 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
                 level, character_table(p, k), -k - n, t_max, best, tie)
             screened += n_screened
             synthesized += n_synthesized
+            threshold = best * tie
             for value, t, v in entries:
                 if value > best:
                     best = value
-                if value >= best * tie:
+                    threshold = best * tie
+                if value >= threshold:
                     cands.append((value, is_dual, t, k, v))
             tail_sup = max(tail_sup, _tail_sup_level(level.columns, t_max))
     log.debug("sup_norm %s: %d points screened in complex128, %d "
@@ -498,8 +566,12 @@ def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
     by_t = level.by_t
     order = sorted(t for t in by_t if lo <= t <= hi)
     multi = [by_t[t] for t in order if len(by_t[t]) > 1]
-    # A single character: |W| is the same for every v.
-    single = {t: abs(by_t[t][0][1]) for t in order if len(by_t[t]) == 1}
+    # A single character: |W| is the same for every v, |c| of its column.
+    single = {}
+    for t in order:
+        if len(by_t[t]) == 1:
+            i, c = by_t[t][0]
+            single[t] = level.columns[i].modulus(t, c)
     best = max([best, *single.values()])
     screen = _screen(multi, table) if multi else None
     exact: dict = {}

@@ -5,7 +5,9 @@ From exact to numeric:
 * :class:`RootOfUnity` -- an exact phase ``e^{2 pi i a/N}`` kept as a reduced
   pair of integers, so that products of character values never drift.
 * mpmath ``mpf``/``mpc`` scalars at a configurable binary precision
-  (128 bits by default).  Sums of exact phases are embedded once, at the end.
+  (128 bits by default).  Sums of exact phases are embedded once, at the end:
+  :func:`unity_sum` counts the phases and sums the counts against a
+  fixed-point root table in Python integers.
 * :class:`ScaledRoot` -- an exact ``root * q^(-s/2)``, the form of every
   Satake parameter and diagonal ratio, so that equalities between them are
   decided exactly.
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
+import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 DEFAULT_PRECISION = 128
 
@@ -63,6 +67,46 @@ def _unity_table_cached(order: int, prec: int) -> tuple:
 def unity_table(order: int) -> tuple:
     """All order-th roots of unity ``(e^{2 pi i j/order})_j`` at working precision."""
     return _unity_table_cached(order, mp.prec)
+
+
+# Bits that the fixed-point root tables of unity_sum carry beyond the
+# working precision.
+_FIXED_GUARD = 32
+
+
+@lru_cache(maxsize=64)
+def _fixed_unity_table(order: int, bits: int) -> tuple:
+    """``(re, im)``: the parts of every ``e(j / order)`` times ``2^bits``,
+    floored to integers.  Each is within ``2^(1 - bits)`` of the exact part
+    times ``2^bits``, in units of ``2^-bits``: the angle and the root are
+    evaluated at ``bits + 8`` bits (off by less than ``2^(4 - bits - 8)``)
+    and the floor adds less than 1."""
+    with mp.workprec(bits + 8):
+        roots = [mp.expjpi(mpf(2 * j) / order) for j in range(order)]
+    return (tuple(to_fixed(z.real._mpf_, bits) for z in roots),
+            tuple(to_fixed(z.imag._mpf_, bits) for z in roots))
+
+
+def unity_sum(phases, order: int) -> mpc:
+    """``sum_j e(phases[j] / order)`` at working precision, for an array of
+    integers ``0 <= phases[j] < order``.
+
+    The phases are counted, and the counts summed against the roots in
+    fixed point: Python integers scaled by ``2^F``, ``F = prec + 32``.  With
+    ``K`` phases the integer sum is within ``K 2^(3/2 - F)`` of the exact sum
+    (each root within ``2^(1 - F)`` per part, :func:`_fixed_unity_table`),
+    and rounding each part once to working precision adds at most
+    ``2^-prec`` of the sum:
+    ``|result - sum| <= 2^-prec |sum| + K 2^(3/2 - F)``.
+    """
+    bits = mp.prec + _FIXED_GUARD
+    re, im = _fixed_unity_table(order, bits)
+    counts = np.bincount(phases, minlength=order)
+    live = np.flatnonzero(counts).tolist()
+    weights = counts[live].tolist()
+    total_re = sum(c * re[j] for c, j in zip(weights, live))
+    total_im = sum(c * im[j] for c, j in zip(weights, live))
+    return mpc(mp.ldexp(mpf(total_re), -bits), mp.ldexp(mpf(total_im), -bits))
 
 
 @dataclass(frozen=True)
@@ -182,19 +226,21 @@ def expand_geometric(terms: Mapping[int, mpc], roots: tuple):
             c += n if d == e else n * _complete_homogeneous(roots, d - e)
         if c:
             head[d] = c
-    a = [r.embed() for r in roots]
 
-    def at(x):  # sum_j n_j x^(-e_j)
-        return sum((n * x ** (-e) for e, n in terms), mpc(0))
+    def at(r):  # sum_j n_j r^(-e_j), each power embedded exactly
+        return sum((n * (r ** -e).embed() for e, n in terms), mpc(0))
 
     if len(roots) == 1:
-        return head, [(at(a[0]), mpc(0), roots[0])]
-    if roots[0] == roots[1]:
-        b0 = sum((n * (1 - e) * a[0] ** (-e) for e, n in terms), mpc(0))
-        return head, [(b0, at(a[0]), roots[0])]
-    inv = 1 / (a[0] - a[1])
-    return head, [(a[0] * inv * at(a[0]), mpc(0), roots[0]),
-                  (-a[1] * inv * at(a[1]), mpc(0), roots[1])]
+        return head, [(at(roots[0]), mpc(0), roots[0])]
+    r0, r1 = roots
+    if r0 == r1:
+        b0 = sum((n * (1 - e) * (r0 ** -e).embed() for e, n in terms), mpc(0))
+        return head, [(b0, at(r0), r0)]
+    # a0 / (a0 - a1) = 1 / (1 - w) with w = a1 / a0 exact, and
+    # -a1 / (a0 - a1) = 1 - 1 / (1 - w); the inverse is conj(z) / |z|^2.
+    z = 1 - (r1 * r0.inverse()).embed()
+    inv = z.conjugate() * (1 / (z.real**2 + z.imag**2))
+    return head, [(inv * at(r0), mpc(0), r0), ((1 - inv) * at(r1), mpc(0), r1)]
 
 
 def _complete_homogeneous(roots: tuple, m: int) -> mpc:

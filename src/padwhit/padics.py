@@ -33,28 +33,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class LocalFieldData:
-    """F = Q_p with residue cardinality q = p and uniformizer p."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"residue characteristic must be prime, got {self.p}")
-
-    @property
-    def q(self) -> int:
-        return self.p
-
-    def zeta(self, s: int) -> Fraction:
-        """zeta_F(s) = (1 - q^-s)^-1 as an exact rational, for integer s != 0."""
-        if s == 0:
-            raise ZeroDivisionError("zeta_F has a pole at s = 0")
-        qs = Fraction(self.q) ** s
-        return qs / (qs - 1)
-
-
-@dataclass(frozen=True)
 class PAdicApprox:
     """``p^t * unit`` with ``unit`` a unit residue modulo ``p^K``.
 

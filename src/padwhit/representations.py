@@ -25,7 +25,7 @@ from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, MINUS_ONE, ScaledRoot, approx_equal
+from .numerics import ONE, MINUS_ONE, RootOfUnity, ScaledRoot, approx_equal
 from .characters import (
     ExtendedCharacter,
     UnitCharacter,
@@ -34,6 +34,7 @@ from .characters import (
     make_character,
     parse_char,
     parse_unit_char,
+    perturbed,
 )
 
 
@@ -44,12 +45,27 @@ class TwistData:
     ``l_num`` holds the Satake parameters of the twisted representation's own
     L-factor; ``l_den`` those of the dual twist entering at 1 - s.  Each list
     has at most two entries, exact :class:`ScaledRoot` values.
+
+    ``root`` is the epsilon factor as an exact root of unity, the product of
+    ``ramified`` ramified GL(1) epsilon factors, each of which
+    :func:`~padwhit.characters.perturb_epsilon` scales.  It is None when a
+    factor has conductor 1 or comes from an oracle table; ``approx`` then
+    holds the numeric epsilon factor, perturbation included.
     """
 
     A: int
-    eps: mpc
     l_num: tuple
     l_den: tuple
+    root: RootOfUnity | None = None
+    ramified: int = 0
+    approx: mpc | None = None
+
+    @property
+    def eps(self) -> mpc:
+        """The epsilon factor at working precision, perturbation included."""
+        if self.root is None:
+            return self.approx
+        return perturbed(self.root.embed(), self.ramified)
 
 
 class Representation:
@@ -141,14 +157,18 @@ class PrincipalSeries(Representation):
     def twist_data(self, mu: UnitCharacter) -> TwistData:
         twists = (self.chi1.twist(mu), self.chi2.twist(mu))
         A = twists[0].conductor + twists[1].conductor
-        eps = twists[0].epsilon() * twists[1].epsilon()
         l_num: list = []
         l_den: list = []
         for tw in twists:
             if tw.conductor == 0:
                 l_num.append(ScaledRoot(tw.pi_value, self.p))
                 l_den.append(ScaledRoot(tw.pi_value.inverse(), self.p))
-        return TwistData(A, eps, tuple(l_num), tuple(l_den))
+        r1, r2 = twists[0].epsilon_root(), twists[1].epsilon_root()
+        if r1 is None or r2 is None:
+            eps = twists[0].epsilon() * twists[1].epsilon()
+            return TwistData(A, tuple(l_num), tuple(l_den), approx=eps)
+        ramified = (twists[0].conductor > 0) + (twists[1].conductor > 0)
+        return TwistData(A, tuple(l_num), tuple(l_den), r1 * r2, ramified)
 
     def contragredient(self) -> "PrincipalSeries":
         return PrincipalSeries(self.chi1.inverse(), self.chi2.inverse())
@@ -209,9 +229,12 @@ class SteinbergTwist(Representation):
             z = tw.pi_value
             satake_num = ScaledRoot(z, self.p, 1)
             satake_den = ScaledRoot(z.inverse(), self.p, 1)
-            return TwistData(1, -z.embed(), (satake_num,), (satake_den,))
-        e = tw.epsilon()
-        return TwistData(2 * tw.conductor, e * e, (), ())
+            return TwistData(1, (satake_num,), (satake_den,), z * MINUS_ONE)
+        root = tw.epsilon_root()
+        if root is None:
+            e = tw.epsilon()
+            return TwistData(2 * tw.conductor, (), (), approx=e * e)
+        return TwistData(2 * tw.conductor, (), (), root * root, 2)
 
     def contragredient(self) -> "SteinbergTwist":
         return SteinbergTwist(self.xi.inverse())
@@ -286,7 +309,7 @@ class SupercuspidalOracle(Representation):
         if mu not in table:
             raise KeyError(f"oracle has no entry for twist {format_char(mu)}")
         A, eps = table[mu]
-        return TwistData(A, mpc(eps), (), ())
+        return TwistData(A, (), (), approx=mpc(eps))
 
     def contragredient(self) -> "SupercuspidalOracle":
         omega_inv = self.omega_.inverse()

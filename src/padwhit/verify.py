@@ -13,21 +13,25 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .characters import (
     UnitCharacter,
-    character_table,
+    character_phases,
     characters_mod,
     critical_unit,
     epsilon_factor,
     epsilon_perturbation,
+    epsilon_root,
     gauss_sum,
     gauss_sum_closed,
+    perturbed,
     verify_critical_unit,
     format_char,
     zeta1,
@@ -46,7 +50,7 @@ from .engine import (
     tables_for_level,
     whittaker_value,
 )
-from .numerics import ONE, MINUS_ONE, RootOfUnity
+from .numerics import ONE, MINUS_ONE, RootOfUnity, unity_sum
 from .padics import PAdicApprox, psi_eval, unit_group
 from .representations import (
     PrincipalSeries,
@@ -181,7 +185,11 @@ def check_epsilon_alignment(p_list, r_values=(2, 3, 4)) -> CheckReport:
 
 
 def pair_sum(p: int, r: int, chi: UnitCharacter, v: int) -> mpc:
-    """sum over cond(mu) = r of eps(1/2,mu^-1) eps(1/2,mu chi) mu(v)."""
+    """sum over cond(mu) = r of eps(1/2,mu^-1) eps(1/2,mu chi) mu(v), for
+    ``r >= 2`` and ``cond(chi) < r``."""
+    if r < 2 or chi.conductor >= r:
+        raise ValueError(f"pair sums need r >= 2 and cond(chi) < r; got r = {r}, "
+                         f"cond(chi) = {chi.conductor}")
     transform = _pair_transform(p, r, chi, mp.prec, epsilon_perturbation())
     return transform[unit_group(p, r).index(v)]
 
@@ -191,19 +199,23 @@ def pair_sum(p: int, r: int, chi: UnitCharacter, v: int) -> mpc:
 @lru_cache(maxsize=128)
 def _pair_transform(p: int, r: int, chi: UnitCharacter, prec: int,
                     eps_perturbation) -> tuple:
-    """:func:`pair_sum` at every unit of ``unit_group(p, r).units()``: each
-    weight formed once, the terms summed in :func:`characters_mod` order."""
-    units, rows, _ = character_table(p, r)
-    terms = [(epsilon_factor(mu.inverse()) * epsilon_factor(mu * chi), row)
-             for mu, row in zip(characters_mod(p, r), rows)
-             if mu.conductor == r]
-    transform = []
-    for j in range(len(units)):
-        total = mpc(0)
-        for weight, row in terms:
-            total += weight * row[j]
-        transform.append(total)
-    return tuple(transform)
+    """:func:`pair_sum` at every unit of ``unit_group(p, r).units()``.
+
+    Both factors of each weight ``eps(mu^-1) eps(mu chi)`` have conductor
+    ``r >= 2``, as ``cond(chi) < r``, so the weight is an exact root of unity,
+    and so is each term ``weight mu(v)``: every pair sum is an integer
+    histogram over the ``L``-th roots, summed by :func:`unity_sum` and scaled
+    by ``(1 + delta)^2`` under :func:`perturb_epsilon`."""
+    chars = characters_mod(p, r)
+    live = [i for i, mu in enumerate(chars) if mu.conductor == r]
+    weights = [epsilon_root(chars[i].inverse()) * epsilon_root(chars[i] * chi)
+               for i in live]
+    n, index = character_phases(p, r)
+    L = math.lcm(n, *(w.order for w in weights))
+    shifts = np.array([w.num * (L // w.order) for w in weights], dtype=np.int64)
+    phases = (shifts[:, None] + index[live] * (L // n)) % L
+    return tuple(perturbed(unity_sum(phases[:, j], L), 2)
+                 for j in range(phases.shape[1]))
 
 
 def check_pair_sum_dichotomy(p_list, r_max: int = 4) -> CheckReport:

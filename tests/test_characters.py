@@ -12,6 +12,7 @@ from padwhit.characters import (
     characters_mod,
     critical_unit,
     epsilon_factor,
+    epsilon_root,
     format_char,
     gauss_sum,
     gauss_sum_closed,
@@ -180,6 +181,86 @@ def test_epsilon_factor_matches_gauss_sum(bits):
         set_precision(old)
 
 
+# The exact roots are compared over the oracle family and every character
+# mod 11^3.
+ROOT_FAMILY = ORACLE_FAMILY + ((11, 3),)
+
+
+def _epsilon_root_mismatches(bits):
+    """Specs of the characters of conductor >= 2 in ROOT_FAMILY whose exact
+    epsilon_root is off the brute-force Gauss sum at ``bits`` bits.
+
+    Error budget in u = 2^(1 - bits): gauss_sum is within u |G| + 2^(3/2 -
+    bits - 32) of G, |G| = zeta(1) p^(-a/2); the scale p^(a/2) / zeta(1) is
+    off by at most 2u relative and the product by u/2, so the brute force is
+    within 4u + p^(a/2) 2^(-30 - bits) <= 5u of epsilon; the embedded root is
+    within u of it.  The tolerance 8u leaves room; a wrong root is off by at
+    least |1 - e(1/8)| > 0.7."""
+    u = mpf(2) ** (1 - bits)
+    bad = []
+    with mp.workprec(bits):
+        for p, a_max in ROOT_FAMILY:
+            for mu in characters_mod(p, a_max):
+                a = mu.conductor
+                if a < 2:
+                    continue
+                x = PAdicApprox(p, -a, 1, a)
+                brute = mp.power(p, mpf(a) / 2) / zeta1(p) * gauss_sum(x, mu.inverse())
+                if abs(epsilon_root(mu).embed() - brute) > 8 * u:
+                    bad.append(format_char(mu))
+    return bad
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
+def test_epsilon_root_matches_gauss_sum(bits):
+    assert _epsilon_root_mismatches(bits) == []
+
+
+@pytest.fixture
+def fresh_epsilon_roots():
+    characters.epsilon_root.cache_clear()
+    yield
+    characters.epsilon_root.cache_clear()
+    characters._eps_cached.cache_clear()
+
+
+@pytest.mark.parametrize("mutation", ["dropped Legendre symbol", "swapped eps_p"])
+def test_epsilon_root_oracle_catches_a_planted_mutation(mutation, monkeypatch,
+                                                       fresh_epsilon_roots):
+    if mutation == "dropped Legendre symbol":
+        monkeypatch.setattr(characters, "_legendre", lambda b, p: ONE)
+    else:
+        monkeypatch.setattr(characters, "_sqrt_p_phase",
+                            lambda p: RootOfUnity(1, 4) if p % 4 == 1 else ONE)
+    bad = _epsilon_root_mismatches(64)
+    # Odd conductors >= 3 at odd p are the ones decided by the formula.
+    assert bad and all(not spec.startswith("2^") for spec in bad)
+
+
+def test_epsilon_root_refuses_a_sum_that_is_not_a_root_of_unity():
+    # Phases linear in z sum to 0 or p, not to a root of unity times sqrt(p).
+    with pytest.raises(RuntimeError):
+        characters._coset_phase(5, [RootOfUnity(z, 5) for z in range(5)])
+    with pytest.raises(RuntimeError):
+        characters._coset_phase(3, [ONE, ONE, ONE])
+    with pytest.raises(RuntimeError):
+        characters._coset_phase(2, [ONE, RootOfUnity(1, 2)])
+    with pytest.raises(RuntimeError):
+        characters._coset_phase(5, [ONE, RootOfUnity(1, 25), ONE, ONE, ONE])
+
+
+def test_epsilon_root_is_exact_from_conductor_two():
+    for p, a_max in ((2, 5), (3, 4), (5, 3)):
+        for mu in characters_mod(p, a_max):
+            root = epsilon_root(mu)
+            if mu.conductor == 1:
+                assert root is None
+                continue
+            assert isinstance(root, RootOfUnity)
+            assert root * epsilon_root(mu.inverse()) == mu.at_minus_one()
+            assert epsilon_factor(mu) == root.embed()
+
+
 def test_critical_unit_examples():
     chi = make_character(3, 2, [1])
     assert critical_unit(chi) % 3 == 1
@@ -208,6 +289,15 @@ def test_pair_sum_spot_values():
         assert abs(abs(pair_sum(3, 2, chi, v)) - mag) < mpf("1e-18")
     for v in (1, 4, 7, 8):
         assert abs(pair_sum(3, 2, chi, v)) < mpf("1e-18")
+
+
+def test_pair_sum_refuses_levels_without_exact_weights():
+    from padwhit.verify import pair_sum
+
+    with pytest.raises(ValueError):
+        pair_sum(3, 1, make_character(3, 0, []), 1)
+    with pytest.raises(ValueError):
+        pair_sum(3, 2, make_character(3, 2, [1]), 1)
 
 
 def test_pair_sum_follows_epsilon_perturbation():
@@ -253,17 +343,19 @@ def test_character_table_evaluates_no_character(monkeypatch):
     assert len(rows) == len(units) == 500
 
 
-def test_extended_character_eval_and_epsilon():
+def test_extended_character_epsilon():
     unit = make_character(3, 1, [1])
     chi = ExtendedCharacter(unit, RootOfUnity(1, 4))
-    x = PAdicApprox(3, 2, 2, 3)
-    assert chi.eval(x) == RootOfUnity(1, 4) ** 2 * RootOfUnity(1, 2)
     # unramified shift: eps picks up pi-value^conductor
     assert approx_equal(chi.epsilon(), mpc(0, 1) * epsilon_factor(unit), TOL)
+    assert chi.epsilon_root() is None  # conductor 1: a Gauss sum over F_3
     unram = ExtendedCharacter(make_character(3, 0, []), RootOfUnity(1, 2))
     assert approx_equal(unram.epsilon(), 1, TOL)
-    assert unram.satake() == RootOfUnity(1, 2)
-    assert chi.satake() is None
+    assert unram.epsilon_root() == ONE
+    unit = make_character(3, 3, [1])
+    chi = ExtendedCharacter(unit, RootOfUnity(1, 4))
+    assert chi.epsilon_root() == RootOfUnity(3, 4) * epsilon_root(unit)
+    assert approx_equal(chi.epsilon(), mpc(0, -1) * epsilon_factor(unit), TOL)
 
 
 def test_char_grammar_roundtrip():

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from padwhit.padics import PAdicApprox, psi_eval, unit_group
 from padwhit.representations import (
     PrincipalSeries,
     SteinbergTwist,
+    TwistData,
     parse_rep,
     standard_family,
     trivial_character,
@@ -455,6 +457,61 @@ def test_canary_leaves_no_trace_in_atkin_lehner_cache():
     assert atkin_lehner_reduce(rep, r)[0] == plain
 
 
+def test_exact_columns_make_no_complex_division(monkeypatch):
+    # Every p = 2 descriptor has no conductor-1 twist (there is no character
+    # of conductor 1 mod 2), and neither has any column (k, mu) of odd p
+    # whose mu and twists all have conductor != 1: such a column divides by
+    # no mpc.
+    family = standard_family(2, 6) + standard_family(3, 4) + standard_family(5, 3)
+    every = [(rep, k, mu) for rep in family for k in range(rep.n + 1)
+             for mu in characters_mod(rep.p, k)]
+    columns = [(rep, k, mu) for rep, k, mu in every
+               if mu.conductor != 1 and rep.twist_data(mu).root is not None]
+    assert {col for col in every if col[0].p == 2} <= set(columns)
+
+    def refuse(*args):
+        raise AssertionError("an exact column divided by an mpc")
+
+    monkeypatch.setattr(mpc, "__truediv__", refuse)
+    monkeypatch.setattr(mpc, "__rtruediv__", refuse)
+    with pytest.raises(AssertionError):
+        1 / mpc(2)
+    solved = [coefficient_table(rep, k, mu) for rep, k, mu in columns]
+    assert len(solved) > 5000
+    assert sum(1 for tab in solved if tab.coeffs and not tab.parts) > 2000
+
+
+def test_single_live_moduli_are_the_moduli_of_the_coefficients():
+    family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
+    exact = 0
+    for rep in family:
+        for k in range(rep.n // 2 + 1):
+            for tab in tables_for_level(rep, k).columns:
+                if tab.moduli is None:
+                    continue
+                d_lo = tab.moduli[0]
+                for t, c in tab.coeffs.items():
+                    if t + tab.A >= d_lo:
+                        exact += 1
+                        assert abs(tab.modulus(t, c) - abs(c)) <= mpf("1e-36") * abs(c)
+    assert exact > 5000
+
+
+def test_canary_moves_exact_columns_and_leaves_no_trace():
+    # p = 2: every epsilon factor is an exact root, so the canary can only
+    # reach the values through the perturbation of the rationals.
+    rep = PrincipalSeries(ext(2, 3, [1, 1]), ext(2, 0, []))
+    r = Representative(-4, 1, 1)
+    engine._tables_for_level_at.cache_clear()
+    plain = whittaker_value(rep, r)
+    with perturb_epsilon(1e-3):
+        perturbed = whittaker_value(rep, r)
+    assert abs(perturbed - plain) > mpf("1e-4") * abs(plain)
+    assert whittaker_value(rep, r) == plain
+    engine._tables_for_level_at.cache_clear()
+    assert whittaker_value(rep, r) == plain
+
+
 def test_contragredient_cache_is_bounded_and_duals_still_hit_the_level_cache():
     bound = contragredient_of.cache_info().maxsize
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
@@ -654,15 +711,46 @@ def _recurrence_column(rep, k, mu):
                  for d, c in theta.items()}
 
 
+@contextmanager
+def _numeric_epsilon_factors(rep):
+    """Solve with every epsilon factor at working precision, as the solver
+    did before it carried exact roots: the numerator of every column then
+    reaches ``expand_geometric``."""
+    cls, real_twist_data, real_root = type(rep), type(rep).twist_data, engine.epsilon_root
+
+    def numeric(self, mu):
+        td = real_twist_data(self, mu)
+        return TwistData(td.A, td.l_num, td.l_den, approx=td.eps)
+
+    cls.twist_data = numeric
+    engine.epsilon_root = lambda mu: None
+    try:
+        yield
+    finally:
+        cls.twist_data = real_twist_data
+        engine.epsilon_root = real_root
+
+
 def test_columns_match_the_recurrence():
     # Every column of the family, k <= n/2 and the direct k > n/2 ones.
     family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
-    recurrent = 0
+    recurrent = monomial = 0
     for rep in family:
         for k in range(rep.n + 1):
             for mu in characters_mod(rep.p, k):
                 tab, want = _recurrence_column(rep, k, mu)
                 where = (rep.spec_string(), k, mu)
+                if tab.coeffs and not want:
+                    # A monomial read off one exact root: against the same
+                    # column solved with numeric epsilon factors.
+                    monomial += 1
+                    with _numeric_epsilon_factors(rep):
+                        numeric, want = _recurrence_column(rep, k, mu)
+                    assert numeric.coeffs == want, where
+                    (t, c), = tab.coeffs.items()
+                    assert want.keys() == {t}, where
+                    assert abs(c - want[t]) <= mpf("1e-36") * abs(want[t]), where
+                    continue
                 if not tab.parts:
                     assert tab.coeffs == want, where
                     continue
@@ -674,6 +762,7 @@ def test_columns_match_the_recurrence():
                         assert abs(tab.coeffs[t] - want[t]) \
                             <= mpf("1e-36") * abs(want[t]), (where, t)
     assert recurrent > 100
+    assert monomial > 1000
 
 
 def test_sign_at_minus_one_is_the_embedded_value():

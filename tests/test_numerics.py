@@ -11,6 +11,7 @@ from padwhit.numerics import (
     expand_geometric,
     get_precision,
     set_precision,
+    unity_sum,
     unity_table,
 )
 
@@ -237,3 +238,21 @@ def test_unity_table_follows_working_precision():
     with mp.workprec(80):
         assert unity_table(7)[1] == mp.expjpi(mpf(2) / 7)
     assert unity_table(7)[1] == mp.expjpi(mpf(2) / 7)
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_unity_sum_is_within_its_stated_bound(bits):
+    # |result - sum| <= 2^-prec |sum| + K 2^(3/2 - prec - 32), against the
+    # same sum of the same roots taken at twice the precision.
+    import numpy as np
+
+    rng = random.Random(bits)
+    for order in (1, 2, 7, 24, 375, 2058):
+        for size in (1, 5, 400):
+            phases = np.array([rng.randrange(order) for _ in range(size)], dtype=np.int64)
+            with mp.workprec(bits):
+                got = unity_sum(phases, order)
+            with mp.workprec(2 * bits + 64):
+                want = sum((mp.expjpi(mpf(2 * int(j)) / order) for j in phases), mpc(0))
+                bound = mpf(2) ** -bits * abs(want) + size * mpf(2) ** (mpf(1.5) - bits - 32)
+                assert abs(got - want) <= bound, (bits, order, size)

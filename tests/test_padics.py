@@ -5,7 +5,6 @@ import pytest
 
 from padwhit.numerics import RootOfUnity
 from padwhit.padics import (
-    LocalFieldData,
     PAdicApprox,
     PrecisionError,
     psi_eval,
@@ -25,15 +24,6 @@ def test_decompose_rational_examples():
 def test_decompose_zero_rejected():
     with pytest.raises(ValueError):
         PAdicApprox.from_rational(3, 0, 2)
-
-
-def test_field_data():
-    F = LocalFieldData(5)
-    assert F.q == 5
-    assert F.zeta(1) == Fraction(5, 4)
-    assert F.zeta(2) == Fraction(25, 24)
-    with pytest.raises(ValueError):
-        LocalFieldData(6)
 
 
 def test_psi_examples():

@@ -241,10 +241,17 @@ def test_omega_and_oracle_table_are_built_once():
         clone = pickle.loads(pickle.dumps(rep))
         assert clone == rep and hash(clone) == hash(rep)
         assert clone.omega == rep.omega
-    # No factor of an exact 1 enters an epsilon factor.
+    # No factor of an exact 1 enters an epsilon factor, and two roots of
+    # unity are multiplied before they are embedded.
     for mu in characters_mod(3, 2):
         tw1, tw2 = ps.chi1.twist(mu), ps.chi2.twist(mu)
-        assert ps.twist_data(mu).eps == tw1.epsilon() * tw2.epsilon()
+        td = ps.twist_data(mu)
+        if 1 in (tw1.conductor, tw2.conductor):
+            assert td.root is None
+            assert td.eps == tw1.epsilon() * tw2.epsilon()
+        else:
+            assert td.root == tw1.epsilon_root() * tw2.epsilon_root()
+            assert td.eps == td.root.embed()
     chi = ext(3, 2, [1], RootOfUnity(1, 2))  # pi^2 = 1 exactly
     assert chi.epsilon() == epsilon_factor(chi.unit_part)
     chi = ext(3, 1, [1], RootOfUnity(1, 2))
