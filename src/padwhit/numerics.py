@@ -77,10 +77,9 @@ _FIXED_GUARD = 32
 @lru_cache(maxsize=64)
 def _fixed_unity_table(order: int, bits: int) -> tuple:
     """``(re, im)``: the parts of every ``e(j / order)`` times ``2^bits``,
-    floored to integers.  Each is within ``2^(1 - bits)`` of the exact part
-    times ``2^bits``, in units of ``2^-bits``: the angle and the root are
-    evaluated at ``bits + 8`` bits (off by less than ``2^(4 - bits - 8)``)
-    and the floor adds less than 1."""
+    floored to integers.  Each integer is within 2 of ``2^bits`` times the
+    exact part: the angle and the root are evaluated at ``bits + 8`` bits,
+    off by less than ``2^-4`` on that scale, and the floor by less than 1."""
     with mp.workprec(bits + 8):
         roots = [mp.expjpi(mpf(2 * j) / order) for j in range(order)]
     return (tuple(to_fixed(z.real._mpf_, bits) for z in roots),
