@@ -7,7 +7,13 @@ adds an exact root-of-unity value at the uniformizer.  Character values stay
 exact until a final embedding, so Gauss sums of thousands of terms carry no
 phase drift.  :func:`character_table` holds every character of level ``k``
 at every unit, each entry a root of unity found by index from the exponent
-vectors; value synthesis and the epsilon pair sums read it.
+vectors; value synthesis and the epsilon pair sums read it.  A twist
+``chi * mu`` is read the same way by :func:`twisted`: both exponent vectors
+are lifted to the larger conductor and added, and the sum indexes
+:func:`characters_mod` there, so the column solve's twist data evaluate no
+character.  ``UnitCharacter.__mul__`` and ``ExtendedCharacter.twist``
+compute the product by evaluation and conductor search; they are the
+independent route that ``verify`` and the tests check the index against.
 
 Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``).  The epsilon
 factor of a character ``mu`` of conductor ``a >= 1`` is, up to the scale
@@ -173,6 +179,39 @@ def characters_mod(p: int, k: int) -> tuple[UnitCharacter, ...]:
     """All characters of (Z/p^k)^x, in lexicographic exponent order."""
     orders = [order for _, order in unit_group(p, k).generators]
     return tuple(make_character(p, k, exps) for exps in _exponent_tuples(orders))
+
+
+def _lifted_exps(chi: UnitCharacter, level: int) -> tuple[int, ...]:
+    """The exponent vector of ``chi`` on the generators of level
+    ``level >= cond(chi)``.  Each level's generators reduce to the lower
+    level's, so an exponent on a cyclic factor of order ``ord`` becomes
+    ``e * ord_level / ord``; at p = 2 the level-2 generator ``3 = -1 (mod 4)``
+    lifts to ``-1`` and leaves ``5 = 1 (mod 4)`` trivial."""
+    a, exps = chi.conductor, chi.exps
+    if a == level:
+        return exps
+    if not exps:
+        return (0,) * len(unit_group(chi.p, level).generators)
+    if chi.p == 2:
+        return (exps[0], 0) if a == 2 else (exps[0], exps[1] << (level - a))
+    return (exps[0] * chi.p ** (level - a),)
+
+
+def twisted(chi: UnitCharacter, mu: UnitCharacter) -> UnitCharacter:
+    """``chi * mu``, read by index from :func:`characters_mod` at the level
+    ``L = max(cond chi, cond mu)``: both exponent vectors lifted to level
+    ``L`` are added modulo the generator orders, and the sum's mixed-radix
+    number is its position in that lexicographic list.  No character is
+    evaluated and no conductor searched; ``UnitCharacter.__mul__`` computes
+    the same character by evaluation."""
+    if chi.p != mu.p:
+        raise ValueError("mixed residue characteristics")
+    level = max(chi.conductor, mu.conductor)
+    j = 0
+    for e, f, (_, order) in zip(_lifted_exps(chi, level), _lifted_exps(mu, level),
+                                unit_group(chi.p, level).generators):
+        j = j * order + (e + f) % order
+    return characters_mod(chi.p, level)[j]
 
 
 def character_table(p: int, k: int):

@@ -431,13 +431,37 @@ def atkin_lehner_reduce(rep: Representation, r: Representative):
     return eps_dual * phase_root.embed(), reduced, dual
 
 
+def _rounded_up(value: mpf, k: int) -> mpf:
+    """``value (1 + u)^k`` with ``u = 2^(1 - prec)``, at least ``x`` for any
+    ``x`` that ``value`` approximates within ``k`` roundings.
+
+    One mpmath operation rounds to nearest, within ``2^-prec`` relative, so
+    a computed ``y`` lies between ``x (1 + u)^-1`` and ``x (1 + u)``, as
+    ``1 / (1 - 2^-prec) <= 1 + u``; ``k`` such factors, as Higham counts
+    them (*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3),
+    put ``x`` below ``value (1 + u)^k``.  ``1 + u`` is exact in ``prec``
+    bits; the three roundings of this inflation itself, two for the power
+    and one for the product, are counted here on top of ``k``."""
+    return value * (1 + mp.ldexp(1, 1 - mp.prec)) ** (k + 3)
+
+
 def lambda_sq_sum(rep: Representation, k: int):
     """(sum over the window of lambda^2, certified bound on the rest).
 
     Past the window each column's tail bound is ``(a0 + a1 s) rho^s
     q^(-(d_from + s)/2)`` at ``s = 1, 2, ...``, so its squares sum to
-    ``q^(-d_from) sum_s (a0 + a1 s)^2 x^s`` with ``x = rho^2 / q < 1``,
+    ``q^(-d_from) sum_s (a0 + a1 s)^2 x^s`` with ``x = rho^2 / q <= 1/2``,
     the closed form below.
+
+    The tail is rounded up (:func:`_rounded_up`), so it bounds that sum for
+    the stored ``a0``, ``a1`` and ``rho``.  Counting roundings, with every
+    integer power as two (mpmath's powers carry guard bits), ``x`` is within
+    3 and ``y = 1 - x`` within 5: as ``x <= 1/2``, ``x``'s error moves ``y``
+    by at most the same relative amount, plus its own rounding and one for
+    the second-order terms.  The three terms of the bracket are then within
+    12, 18 and 29, and 30 after their two additions; ``q^(-d_from)`` and the
+    product add 3.  All terms are positive, so summing ``m`` columns from
+    zero adds ``m - 1``: ``k = m + 32``.
     """
     columns = tables_for_level(rep, k).columns
     total = mpf(0)
@@ -454,7 +478,7 @@ def lambda_sq_sum(rep: Representation, k: int):
         tail += mp.power(b.q, -b.d_from) * (
             b.a0**2 * x / y + 2 * b.a0 * b.a1 * x / y**2
             + b.a1**2 * x * (1 + x) / y**3)
-    return total, tail
+    return total, _rounded_up(tail, len(columns) + 32)
 
 
 # sup_norm treats values within this many units in the last place of the
@@ -676,6 +700,12 @@ def _tail_sup_level(tables, t_max: int) -> mpf:
     ``d_from >= 20``, and the Satake parameters of a unitary representation
     have ``rho <= 1``, so one step scales it by at most
     ``(1 + 1/d_from) rho q^(-1/2) <= (21/20)/sqrt(2) < 1``.
+
+    The sum is rounded up (:func:`_rounded_up`), so it bounds the exact sum
+    of the stored tail bounds.  Counting roundings, with every integer power
+    as two, ``a0 + a1 s`` is within 2, times ``rho^s`` within 5, times
+    ``q^(-d/2)`` (two) within 8; the terms are positive, so summing ``m``
+    columns from zero adds ``m - 1``: ``k = m + 7``.
     """
     # Columns without Satake roots have an identically zero tail; adding
     # their exact zeros would change no bit of the sum.
@@ -683,7 +713,7 @@ def _tail_sup_level(tables, t_max: int) -> mpf:
     for tab in tables:
         if tab.tail.a0 or tab.tail.a1:
             sup += tab.tail.coeff_bound(t_max + 1)
-    return sup
+    return _rounded_up(sup, len(tables) + 7)
 
 
 def lower_bound_witness(rep: Representation) -> Representative:

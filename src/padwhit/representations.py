@@ -35,6 +35,7 @@ from .characters import (
     parse_char,
     parse_unit_char,
     perturbed,
+    twisted,
 )
 
 
@@ -155,7 +156,8 @@ class PrincipalSeries(Representation):
         return self.chi2.conductor > 0
 
     def twist_data(self, mu: UnitCharacter) -> TwistData:
-        twists = (self.chi1.twist(mu), self.chi2.twist(mu))
+        twists = tuple(ExtendedCharacter(twisted(chi.unit_part, mu), chi.pi_value)
+                       for chi in (self.chi1, self.chi2))
         A = twists[0].conductor + twists[1].conductor
         l_num: list = []
         l_den: list = []
@@ -222,7 +224,7 @@ class SteinbergTwist(Representation):
         return self.xi.conductor > 0
 
     def twist_data(self, mu: UnitCharacter) -> TwistData:
-        tw = self.xi.twist(mu)
+        tw = ExtendedCharacter(twisted(self.xi.unit_part, mu), self.xi.pi_value)
         if tw.conductor == 0:
             # Special representation with unramified twist sigma:
             # conductor exponent 1, epsilon -sigma(p), L-roots sigma(p) q^(-1/2).

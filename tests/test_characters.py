@@ -20,6 +20,7 @@ from padwhit.characters import (
     parse_char,
     parse_unit_char,
     perturb_epsilon,
+    twisted,
     verify_critical_unit,
     zeta1,
 )
@@ -92,6 +93,43 @@ def test_conductor_product_brute():
                     p, 2, lambda u: mu.eval_unit(u) * nu.eval_unit(u)
                 )
                 assert (mu * nu).conductor == want
+
+
+# Every character of level <= k listed once per level it belongs to, so
+# lifts between all levels meet in the product.
+TWIST_ORACLE_LEVELS = ((2, 6), (3, 4), (5, 3), (7, 2))
+
+
+def test_twisted_matches_evaluated_product():
+    pairs = 0
+    for p, kmax in TWIST_ORACLE_LEVELS:
+        chars = [c for k in range(kmax + 1) for c in characters_mod(p, k)]
+        for chi in chars:
+            for mu in chars:
+                assert twisted(chi, mu) == chi * mu, (chi, mu)
+                pairs += 1
+    assert pairs == 28683
+
+
+def test_twisted_lifts_level_two_at_p2():
+    # The level-2 generator is 3 = -1 (mod 4); at levels >= 3 the generators
+    # are -1 and 5, so the level-2 character lifts to exponents (e, 0).
+    (quad,) = [c for c in characters_mod(2, 2) if c.conductor == 2]
+    assert quad.exps == (1,)
+    assert characters._lifted_exps(quad, 5) == (1, 0)
+    for level in range(3, 7):
+        units = unit_group(2, level).units()
+        for mu in characters_mod(2, level):
+            for chi, other in ((quad, mu), (mu, quad)):
+                got = twisted(chi, other)
+                assert got == chi * other
+                assert all(got.eval_unit(u) == chi.eval_unit(u) * other.eval_unit(u)
+                           for u in units)
+
+
+def test_twisted_refuses_mixed_primes():
+    with pytest.raises(ValueError):
+        twisted(make_character(3, 1, [1]), make_character(5, 1, [1]))
 
 
 def test_character_group_counts():

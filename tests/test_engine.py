@@ -372,6 +372,72 @@ def test_lambda_sq_sum_closed_form_tail_matches_loop():
     assert nonzero > 0
 
 
+def _tail_oracles(rep, k):
+    """The two tails of level k as 512-bit loops over the stored ``a0``,
+    ``a1`` and ``rho``: lambda_sq_sum's sum of squared tail bounds, stopped
+    once a term falls below 2^-600 of the sum, and _tail_sup_level's sum of
+    the tail bounds at the first t past the window."""
+    t_max = engine._window(rep)
+    bounds = [tab.tail for tab in tables_for_level(rep, k).columns]
+    with mp.workprec(512):
+        squares = first = mpf(0)
+        for b in bounds:
+            if not (b.a0 or b.a1):
+                continue
+            for s in range(1, 5000):
+                d = b.d_from + s
+                term = ((b.a0 + b.a1 * s) * b.rho**s
+                        * mp.power(b.q, -mpf(d) / 2)) ** 2
+                squares += term
+                if term < mp.ldexp(squares, -600):
+                    break
+            s = t_max + 1 + b.A - b.d_from
+            first += ((b.a0 + b.a1 * s) * b.rho**s
+                      * mp.power(b.q, -mpf(t_max + 1 + b.A) / 2))
+    return squares, first
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_tails_are_rounded_up(bits):
+    family = standard_family(2, 3) + standard_family(3, 3)
+    old = get_precision()
+    try:
+        set_precision(bits)
+        nonzero = 0
+        for rep in family:
+            t_max = engine._window(rep)
+            for k in range(rep.n + 1):
+                _, tail = lambda_sq_sum(rep, k)
+                sup = engine._tail_sup_level(tables_for_level(rep, k).columns, t_max)
+                squares, first = _tail_oracles(rep, k)
+                spec = f"{rep.spec_string()} k={k}"
+                assert tail >= squares, spec
+                assert sup >= first, spec
+                nonzero += squares > 0
+        assert nonzero > 0
+    finally:
+        set_precision(old)
+
+
+def test_level_solves_make_no_character_products(monkeypatch):
+    family = standard_family(2, 6) + standard_family(3, 4) + standard_family(5, 3)
+    for rep in family:
+        rep.omega, contragredient_of(rep).omega
+    for p, nmax in ((2, 6), (3, 4), (5, 3)):
+        for k in range(nmax + 1):
+            characters_mod(p, k)
+
+    def refuse(*args):
+        raise AssertionError("a level solve multiplied characters")
+
+    monkeypatch.setattr(characters.UnitCharacter, "__mul__", refuse)
+    monkeypatch.setattr(characters, "make_character", refuse)
+    engine._tables_for_level_at.cache_clear()
+    for rep in family:
+        for k in range(rep.n + 1):
+            tables_for_level(rep, k)
+
+
 def test_sup_norm_steinberg_is_one():
     res = sup_norm(SteinbergTwist(ext(5, 0, [])))
     assert abs(res.h - 1) < mpf("1e-10")
@@ -828,6 +894,8 @@ def _exhaustive_sup_norm_oracle(rep):
                 prev = b
                 if b < mpf("1e-40") or (decreasing_since > 6 and b < sup / 2):
                     break
+            # Rounded up by the count engine._tail_sup_level derives.
+            sup *= (1 + mp.ldexp(1, 1 - mp.prec)) ** (len(tables) + 10)
             tail_sup = max(tail_sup, sup)
     mapped = []
     for value, is_dual, t, k, v in cands:
