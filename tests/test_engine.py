@@ -421,8 +421,11 @@ def test_tails_are_rounded_up(bits):
 
 def test_level_solves_make_no_character_products(monkeypatch):
     family = standard_family(2, 6) + standard_family(3, 4) + standard_family(5, 3)
+    # Central characters are products; they are built once per descriptor,
+    # before any level, as are the character lists the twists index.
     for rep in family:
-        rep.omega, contragredient_of(rep).omega
+        for fam in (rep, contragredient_of(rep)):
+            assert fam.omega.p == rep.p
     for p, nmax in ((2, 6), (3, 4), (5, 3)):
         for k in range(nmax + 1):
             characters_mod(p, k)
