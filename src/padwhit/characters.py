@@ -2,7 +2,10 @@
 
 A :class:`UnitCharacter` is a character of Q_p^x that is trivial at the
 uniformizer, stored as an exponent vector over the canonical generators of
-``(Z/p^a)^x`` at its exact conductor ``a``.  An :class:`ExtendedCharacter`
+``(Z/p^a)^x`` at its exact conductor ``a``.  :func:`make_character` reads
+that conductor off the p-adic valuation of the exponent on the generator of
+the ``1 + pZ_p`` factor, and ``chi(-1)`` is ``(-1)^exps[0]``, so neither
+evaluates a character.  An :class:`ExtendedCharacter`
 adds an exact root-of-unity value at the uniformizer.  Character values stay
 exact until a final embedding, so Gauss sums of thousands of terms carry no
 phase drift.  :func:`character_table` holds every character of level ``k``
@@ -12,7 +15,7 @@ vectors; value synthesis and the epsilon pair sums read it.  A twist
 are lifted to the larger conductor and added, and the sum indexes
 :func:`characters_mod` there, so the column solve's twist data evaluate no
 character.  ``UnitCharacter.__mul__`` and ``ExtendedCharacter.twist``
-compute the product by evaluation and conductor search; they are the
+evaluate the product at the generators, and only the product; they are the
 independent route that ``verify`` and the tests check the index against.
 
 Gauss sums are unit-group averages (``vol((Z/p^a)^x) = 1``).  The epsilon
@@ -107,7 +110,9 @@ class UnitCharacter:
         return RootOfUnity(num, den)
 
     def at_minus_one(self) -> RootOfUnity:
-        return self.eval_unit(-1 % max(self.p**self.conductor, 2))
+        """``chi(-1) = (-1)^exps[0]``: -1 is ``g^(phi/2)`` for odd p and the
+        first generator at p = 2."""
+        return MINUS_ONE if self.exps and self.exps[0] % 2 else ONE
 
     def __mul__(self, other: "UnitCharacter") -> "UnitCharacter":
         if self.p != other.p:
@@ -130,48 +135,36 @@ class UnitCharacter:
         return f"UnitCharacter({format_char(self)!r})"
 
 
-def _phase_on_subgroup_trivial(chi: UnitCharacter, c: int) -> bool:
-    """Is chi trivial on the image of 1 + p^c Z_p in (Z/p^a)^x?"""
-    a, p = chi.conductor, chi.p
-    if c >= a:
-        return True
-    mod = p**a
-    step = p**c
-    for j in range(1, mod // step):
-        u = 1 + step * j
-        if u % p == 0:
-            continue
-        if not chi.eval_unit(u % mod).is_one():
-            return False
-    return True
-
-
-def _reduce_to_conductor(chi: UnitCharacter) -> UnitCharacter:
-    a = chi.conductor
-    c = 0
-    while not _phase_on_subgroup_trivial(chi, c):
-        c += 1
-    if c == a:
-        return chi
-    gens = unit_group(chi.p, c).generators
-    exps = []
-    for g, order in gens:
-        val = chi.eval_unit(g)  # well-defined: chi is trivial on 1 + p^c
-        e = val.num * order
-        if e % val.order:
-            raise RuntimeError("conductor reduction produced a wrong-order value")
-        exps.append(e // val.order)
-    return UnitCharacter(chi.p, c, tuple(exps))
-
-
 def make_character(p: int, level: int, exps) -> UnitCharacter:
     """Character of (Z/p^level)^x by generator exponents, stored at its exact
-    conductor (the input level is only an upper bound)."""
+    conductor (the input level is only an upper bound).
+
+    The conductor is read off the exponent ``e`` on the last generator, whose
+    cyclic factor holds ``1 + pZ_p``: the primitive root for odd p, 5 at
+    p = 2 from level 3.  For ``c >= 1`` (``c >= 2`` at p = 2) the image of
+    ``1 + p^c Z_p`` mod ``p^a`` is that factor's subgroup of order
+    ``p^(a-c)``, on whose generator the character is ``e(e / p^(a-c))``.  So
+    it is trivial there exactly when ``p^(a-c)`` divides ``e``: the conductor
+    is ``a - v_p(e)``, and the exponent at that level is ``e / p^v_p(e)``
+    (Ireland-Rosen, ch. 4).  At p = 2 a character with ``e = 0`` factors
+    through ``(Z/4)^x``, generated by -1.  No character is evaluated.
+    """
     exps = tuple(int(e) for e in exps)
     gens = unit_group(p, level).generators
     if not gens and exps in ((), (0,)):
         exps = ()
-    return _reduce_to_conductor(UnitCharacter(p, level, exps))
+    if len(exps) != len(gens):
+        raise ValueError("exponent vector does not match the generator list")
+    if len(exps) == 2 and exps[1] % gens[1][1] == 0:
+        return make_character(2, 2, exps[:1])
+    e = exps[-1] % gens[-1][1] if exps else 0
+    if e == 0:
+        return UnitCharacter(p, 0, ())
+    shift = 0
+    while e % p == 0:
+        e //= p
+        shift += 1
+    return UnitCharacter(p, level - shift, exps[:-1] + (e,))
 
 
 @lru_cache(maxsize=None)

@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap_scan.add_argument("--conjecture-regime", action="store_true",
                          help="keep only m <= ceil(n/2) rows")
     ap_scan.add_argument("--tolerance", type=float, default=1e-9,
-                         help="numerical guard tolerance for certification")
+                         help="consistency guard: fail if the sup-norm h is below "
+                              "1 - TOLERANCE (does not affect certification)")
     ap_scan.add_argument("--jobs", type=int, default=1)
     ap_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     ap_scan.add_argument("--timings", action="store_true",

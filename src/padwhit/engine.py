@@ -156,23 +156,6 @@ def _closed_form(parts, d_lo: int, d_hi: int) -> list:
     return first
 
 
-@lru_cache(maxsize=1024)
-def _sign_at_minus_one(omega: UnitCharacter) -> int:
-    """omega(-1): 1 or -1, as (-1)^2 = 1."""
-    return 1 if omega.at_minus_one().is_one() else -1
-
-
-def coefficient_table(rep: Representation, k: int,
-                      mu: UnitCharacter) -> CoefficientTable:
-    """Solve the functional-equation identity for the column (k, mu).
-
-    Columns with cond(mu) > k are identically zero and come back empty.
-    """
-    if not 0 <= k <= rep.n:
-        raise ValueError(f"level k={k} outside [0, {rep.n}]")
-    return solve_column(rep, k, mu, rep.diagonal_ratio())
-
-
 @lru_cache(maxsize=256)
 def _rational(num: int, den: int, prec: int) -> mpf:
     return mpf(num) / den
@@ -186,10 +169,12 @@ def _no_tail(d_from: int, A: int, p: int) -> TailBound:
     return TailBound(_ZERO, _ZERO, _ZERO, d_from, A, p)
 
 
-def solve_column(rep: Representation, k: int, mu: UnitCharacter,
-                 ratio) -> CoefficientTable:
-    """The column (k, mu) from the twist data of ``rep`` and the exact
-    diagonal ratio ``ratio`` (None for a diagonal supported at t = 0).
+def coefficient_table(rep: Representation, k: int,
+                      mu: UnitCharacter) -> CoefficientTable:
+    """Solve the functional-equation identity for the column (k, mu), from
+    the twist data of ``rep`` and its exact diagonal ratio (None for a
+    diagonal supported at t = 0).  Columns with cond(mu) > k are identically
+    zero and come back empty.
 
     The generating function of ``d -> c[d - A, k](mu) q^(d/2)`` is
     ``C X^e prod_j (1 - c_j X^-1) / prod_i (1 - a_i X)``: the ``c_j`` are the
@@ -206,10 +191,13 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
     ``(1 + delta)`` per exact ramified epsilon factor in the numerator and
     by ``(1 + delta)^-1`` per one in the denominator.
     """
+    if not 0 <= k <= rep.n:
+        raise ValueError(f"level k={k} outside [0, {rep.n}]")
     p = rep.p
     if mu.conductor > k:
         return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, p), ())
     td = rep.twist_data(mu)
+    ratio = rep.diagonal_ratio()
     duals = [g.shift(2) for g in td.l_den]
     approx = None
     ramified = 0
@@ -258,7 +246,8 @@ def solve_column(rep: Representation, k: int, mu: UnitCharacter,
             num, root = -num, root * c
             e -= 1
     # The sign omega(-1) over the twist's epsilon factor.
-    num *= _sign_at_minus_one(rep.omega)
+    if not rep.omega.at_minus_one().is_one():
+        num = -num
     if td.root is not None:
         root = root * ScaledRoot(td.root.inverse(), p)
         ramified -= td.ramified
@@ -515,6 +504,11 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     screened in complex128 (:func:`_screen`) and only the points that can
     reach the tie threshold of the maximum are synthesized at working
     precision, so the result is the one of synthesizing every point.
+
+    ``tolerance`` only guards consistency: a normalized newvector has
+    ``|W(1)| = 1``, so ``h < 1 - tolerance`` raises ``RuntimeError``.  It
+    does not enter ``certified``, which compares the tail bound with ``h``
+    by the fixed margin ``1e-12``.
     """
     n, p = rep.n, rep.p
     t_max = _window(rep)

@@ -108,7 +108,7 @@ class Representation:
         variant invariant under the opposite congruence subgroup."""
         raise NotImplementedError
 
-    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
+    def diagonal_ratio(self) -> ScaledRoot | None:
         """None if the diagonal is supported at t = 0 only; otherwise the
         exact geometric ratio rho with value(t) = rho^t for t >= 0."""
         raise NotImplementedError
@@ -187,11 +187,10 @@ class PrincipalSeries(Representation):
             return (self.chi2.pi_value**t).embed() * qth
         return ((self.chi1.pi_value**t) * self.chi1.unit_part.eval_unit(v)).embed() * qth
 
-    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
+    def diagonal_ratio(self) -> ScaledRoot | None:
         if self.chi2.conductor > 0:
             return None
-        piv = self.chi2.pi_value if conjugate else self.chi1.pi_value
-        return ScaledRoot(piv, self.p, 1)
+        return ScaledRoot(self.chi1.pi_value, self.p, 1)
 
     def spec_string(self) -> str:
         return f"ps:{format_char(self.chi1)},{format_char(self.chi2)}"
@@ -250,7 +249,7 @@ class SteinbergTwist(Representation):
             return mpc(0)
         return (self.xi.pi_value**t).embed() * mp.power(self.p, -t)
 
-    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
+    def diagonal_ratio(self) -> ScaledRoot | None:
         if self.xi.conductor > 0:
             return None
         return ScaledRoot(self.xi.pi_value, self.p, 2)
@@ -330,7 +329,7 @@ class SupercuspidalOracle(Representation):
             return mpc(0)
         return mpc(1) if conjugate else self.omega_.eval_unit(v).embed()
 
-    def diagonal_ratio(self, conjugate: bool = False) -> ScaledRoot | None:
+    def diagonal_ratio(self) -> ScaledRoot | None:
         return None
 
     def spec_string(self) -> str:
@@ -443,14 +442,7 @@ def standard_family(p: int, nmax: int, kinds: str = "all"):
         for rep in steinberg_family(p, nmax // 2):
             if rep.n <= nmax:
                 out.append(rep)
-    seen = set()
-    unique = []
-    for rep in out:
-        key = rep.spec_string()
-        if key not in seen:
-            seen.add(key)
-            unique.append(rep)
-    return unique
+    return out
 
 
 def parse_rep(kind: str, payload: str, p: int | None = None, oracle=None) -> Representation:

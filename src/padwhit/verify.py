@@ -44,7 +44,6 @@ from .engine import (
     conjugate_value,
     lambda_sq_sum,
     lower_bound_witness,
-    solve_column,
     sup_norm,
     supercuspidal_closed_value,
     tables_for_level,
@@ -339,8 +338,13 @@ def check_atkin_lehner(rep: Representation, count: int = 100,
 
 
 def check_dual_tables(rep: Representation) -> CheckReport:
-    """The conjugate-variant Fourier tables, solved from the dual identity
-    with the conjugate diagonal branch, equal the contragredient's tables."""
+    """The conjugate-variant coefficients, read off ``rep``'s own tables,
+    equal the contragredient's.  For unitary ``pi`` the contragredient is
+    the complex conjugate, and ``diag(1, -1)`` lies in the level subgroup, so
+    ``W~(g(t,k,v)) = omega(-1) conj(W(g(t,k,-v)))``; over the characters of
+    level k this reads ``c~[t,k](nu) = omega(-1) nu(-1) conj(c[t,k](nu^-1))``.
+    Both columns come from :func:`tables_for_level`, one case per degree
+    stored in either."""
     report = CheckReport(
         "dual-table-consistency",
         "conjugate-variant coefficients equal the contragredient's",
@@ -348,26 +352,20 @@ def check_dual_tables(rep: Representation) -> CheckReport:
         tolerance=TOL_SOLVER,
     )
     dual = contragredient_of(rep)
-    n = rep.n
-    for k in range(n // 2 + 1):
-        for mu in characters_mod(rep.p, k):
-            direct = coefficient_table(dual, k, mu)
-            via_conj = _conjugate_coefficient_table(rep, k, mu)
-            degrees = set(direct.coeffs) | set(via_conj)
-            for t in sorted(degrees):
+    sign = rep.omega.at_minus_one()
+    for k in range(rep.n // 2 + 1):
+        chars = characters_mod(rep.p, k)
+        position = {mu: i for i, mu in enumerate(chars)}
+        columns = tables_for_level(rep, k).columns
+        for nu, direct in zip(chars, tables_for_level(dual, k).columns):
+            mirror = columns[position[nu.inverse()]]
+            phase = (sign * nu.at_minus_one()).embed()
+            for t in sorted(set(direct.coeffs) | set(mirror.coeffs)):
                 report.record(
-                    abs(direct.value(t) - via_conj.get(t, mpc(0))),
-                    f"k={k} mu={format_char(mu)} t={t}",
+                    abs(direct.value(t) - phase * mirror.value(t).conjugate()),
+                    f"k={k} mu={format_char(nu)} t={t}",
                 )
     return report
-
-
-def _conjugate_coefficient_table(rep: Representation, k: int,
-                                 mu: UnitCharacter) -> dict:
-    """Solve the dual functional-equation identity directly: twist data of
-    the contragredient, with the conjugate diagonal branch of ``rep``."""
-    return solve_column(contragredient_of(rep), k, mu,
-                        rep.diagonal_ratio(conjugate=True)).coeffs
 
 
 def check_diagonal_and_reduction(rep: Representation, seed: int = 29) -> CheckReport:

@@ -100,6 +100,49 @@ def test_conductor_product_brute():
 TWIST_ORACLE_LEVELS = ((2, 6), (3, 4), (5, 3), (7, 2))
 
 
+def _exponent_grid(p, a):
+    orders = [order for _, order in unit_group(p, a).generators]
+    return list(characters._exponent_tuples(orders))
+
+
+def test_make_character_reads_conductor_off_exponents():
+    # The reduced character agrees with the unreduced one at every unit, and
+    # its conductor with the brute-force triviality scan.
+    count = 0
+    for p, a in TWIST_ORACLE_LEVELS:
+        units = unit_group(p, a).units()
+        for exps in _exponent_grid(p, a):
+            chi = make_character(p, a, exps)
+            full = characters.UnitCharacter(p, a, exps)
+            assert [chi.eval_unit(u) for u in units] \
+                == [full.eval_unit(u) for u in units], (p, a, exps)
+            assert chi.conductor == _brute_conductor(p, a, full.eval_unit), (p, a, exps)
+            count += 1
+    assert count == 32 + 54 + 100 + 42
+
+
+def test_make_character_evaluates_no_character(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("make_character evaluated a character")
+
+    monkeypatch.setattr(characters.UnitCharacter, "eval_unit", refuse)
+    for p, kmax in TWIST_ORACLE_LEVELS:
+        for a in range(kmax + 1):
+            for exps in _exponent_grid(p, a):
+                make_character(p, a, exps)
+
+
+def test_at_minus_one_is_the_value_at_minus_one():
+    signs = set()
+    for p, kmax in TWIST_ORACLE_LEVELS:
+        for a in range(kmax + 1):
+            for chi in characters_mod(p, a):
+                want = chi.eval_unit(-1 % p ** max(a, 1))
+                assert chi.at_minus_one() == want, chi
+                signs.add(want)
+    assert signs == {ONE, RootOfUnity(1, 2)}
+
+
 def test_twisted_matches_evaluated_product():
     pairs = 0
     for p, kmax in TWIST_ORACLE_LEVELS:

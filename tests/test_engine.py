@@ -834,14 +834,6 @@ def test_columns_match_the_recurrence():
     assert monomial > 1000
 
 
-def test_sign_at_minus_one_is_the_embedded_value():
-    family = standard_family(2, 4) + standard_family(3, 3)
-    assert {engine._sign_at_minus_one(rep.omega) for rep in family} == {1, -1}
-    for rep in family:
-        assert engine._sign_at_minus_one(rep.omega) \
-            == rep.omega.at_minus_one().embed()
-
-
 def test_sup_norm_deterministic_witness():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     r1 = sup_norm(rep)

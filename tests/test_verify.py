@@ -1,3 +1,4 @@
+from padwhit import engine
 from padwhit.characters import make_character, perturb_epsilon
 from padwhit.representations import PrincipalSeries, standard_family
 from padwhit.characters import ExtendedCharacter
@@ -51,6 +52,33 @@ def test_representation_check_supercuspidal_structural_subset():
     report = check_representation(sc)
     assert report.passed, report.as_dict()
     assert not check_normalization(sc).passed  # direct level-n solve: genuine-only
+
+
+def _clear_engine_caches():
+    for obj in vars(engine).values():
+        clear = getattr(obj, "cache_clear", None)
+        if callable(clear):
+            clear()
+
+
+def test_dual_tables_catch_a_wrong_contragredient(monkeypatch):
+    # A contragredient that forgets to invert chi2 (of order 4 here) breaks
+    # c~[t,k](nu) = omega(-1) nu(-1) conj(c[t,k](nu^-1)).
+    rep = PrincipalSeries(
+        ExtendedCharacter(make_character(5, 2, [1])),
+        ExtendedCharacter(make_character(5, 1, [1])),
+    )
+    assert check_dual_tables(rep).passed
+    monkeypatch.setattr(PrincipalSeries, "contragredient",
+                        lambda self: PrincipalSeries(self.chi1.inverse(), self.chi2))
+    _clear_engine_caches()
+    try:
+        report = check_dual_tables(rep)
+    finally:
+        monkeypatch.undo()
+        _clear_engine_caches()
+    assert not report.passed
+    assert check_dual_tables(rep).passed
 
 
 def test_main_theorem_check_passes():
