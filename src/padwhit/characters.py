@@ -156,7 +156,7 @@ def make_character(p: int, level: int, exps) -> UnitCharacter:
     if len(exps) != len(gens):
         raise ValueError("exponent vector does not match the generator list")
     if len(exps) == 2 and exps[1] % gens[1][1] == 0:
-        return make_character(2, 2, exps[:1])
+        level, exps, gens = 2, exps[:1], gens[:1]
     e = exps[-1] % gens[-1][1] if exps else 0
     if e == 0:
         return UnitCharacter(p, 0, ())

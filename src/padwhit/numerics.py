@@ -79,11 +79,16 @@ def _fixed_unity_table(order: int, bits: int) -> tuple:
     """``(re, im)``: the parts of every ``e(j / order)`` times ``2^bits``,
     floored to integers.  Each integer is within 2 of ``2^bits`` times the
     exact part: the angle and the root are evaluated at ``bits + 8`` bits,
-    off by less than ``2^-4`` on that scale, and the floor by less than 1."""
+    off by less than ``2^-4`` on that scale, and the floor by less than 1.
+    Each root is converted as it is made, so the ``order`` roots are never
+    held at once (at order 14,406 they took 6 MB)."""
+    re, im = [], []
     with mp.workprec(bits + 8):
-        roots = [mp.expjpi(mpf(2 * j) / order) for j in range(order)]
-    return (tuple(to_fixed(z.real._mpf_, bits) for z in roots),
-            tuple(to_fixed(z.imag._mpf_, bits) for z in roots))
+        for j in range(order):
+            z = mp.expjpi(mpf(2 * j) / order)
+            re.append(to_fixed(z.real._mpf_, bits))
+            im.append(to_fixed(z.imag._mpf_, bits))
+    return tuple(re), tuple(im)
 
 
 def unity_sum(phases, order: int) -> mpc:
