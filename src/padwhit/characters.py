@@ -150,14 +150,12 @@ def make_character(p: int, level: int, exps) -> UnitCharacter:
     through ``(Z/4)^x``, generated by -1.  No character is evaluated.
     """
     exps = tuple(int(e) for e in exps)
-    gens = unit_group(p, level).generators
-    if not gens and exps in ((), (0,)):
+    if not unit_group(p, level).generators and exps in ((), (0,)):
         exps = ()
-    if len(exps) != len(gens):
-        raise ValueError("exponent vector does not match the generator list")
-    if len(exps) == 2 and exps[1] % gens[1][1] == 0:
-        level, exps, gens = 2, exps[:1], gens[:1]
-    e = exps[-1] % gens[-1][1] if exps else 0
+    exps = UnitCharacter(p, level, exps).exps  # checked and reduced
+    if len(exps) == 2 and exps[1] == 0:
+        level, exps = 2, exps[:1]
+    e = exps[-1] if exps else 0
     if e == 0:
         return UnitCharacter(p, 0, ())
     shift = 0

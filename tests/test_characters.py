@@ -25,7 +25,7 @@ from padwhit.characters import (
     zeta1,
 )
 from padwhit.numerics import ONE, RootOfUnity, approx_equal, get_precision, set_precision
-from padwhit.padics import PAdicApprox, unit_group
+from padwhit.padics import PAdicApprox, _exponent_tuples, unit_group
 
 TOL = mpf("1e-20")
 
@@ -102,7 +102,7 @@ TWIST_ORACLE_LEVELS = ((2, 6), (3, 4), (5, 3), (7, 2))
 
 def _exponent_grid(p, a):
     orders = [order for _, order in unit_group(p, a).generators]
-    return list(characters._exponent_tuples(orders))
+    return list(_exponent_tuples(orders))
 
 
 def test_make_character_reads_conductor_off_exponents():
