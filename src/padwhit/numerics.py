@@ -80,8 +80,8 @@ def _fixed_unity_table(order: int, bits: int) -> tuple:
     floored to integers.  Each integer is within 2 of ``2^bits`` times the
     exact part: the angle and the root are evaluated at ``bits + 8`` bits,
     off by less than ``2^-4`` on that scale, and the floor by less than 1.
-    Each root is converted as it is made, so the ``order`` roots are never
-    held at once (at order 14,406 they took 6 MB)."""
+    Each root is converted as it is made, so the ``order`` roots, about
+    400 bytes each as ``mpc``, are never held at once."""
     re, im = [], []
     with mp.workprec(bits + 8):
         for j in range(order):
