@@ -61,14 +61,22 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
-from .numerics import MINUS_ONE, ONE, RootOfUnity, q_power, unity_sum, unity_table
+from .numerics import (
+    MINUS_ONE,
+    ONE,
+    RootOfUnity,
+    perturbed,
+    q_power,
+    unity_sum,
+    unity_table,
+    working_cache,
+)
 from .padics import PAdicApprox, _exponent_tuples, unit_group
 
 
@@ -205,14 +213,6 @@ def twisted(chi: UnitCharacter, mu: UnitCharacter) -> UnitCharacter:
     return characters_mod(chi.p, level)[j]
 
 
-def character_table(p: int, k: int):
-    """``(units, rows, table)`` of ``(Z/p^k)^x`` at working precision:
-    ``units`` is :meth:`UnitGroupStructure.units`, ``rows[i][j]`` the
-    embedded value of ``characters_mod(p, k)[i]`` at ``units[j]`` and
-    ``table`` the same matrix in complex128 (read-only)."""
-    return _character_table_at(p, k, mp.prec)
-
-
 def character_phases(p: int, k: int):
     """``(n, index)``: ``characters_mod(p, k)[i]`` takes the value
     ``e(index[i, j] / n)`` at ``unit_group(p, k).units()[j]``."""
@@ -228,8 +228,12 @@ def character_phases(p: int, k: int):
     return n, (grid * (n // np.array(orders, dtype=np.int64))) % n @ grid.T % n
 
 
-@lru_cache(maxsize=None)
-def _character_table_at(p: int, k: int, prec: int):
+@working_cache(maxsize=None)
+def character_table(p: int, k: int):
+    """``(units, rows, table)`` of ``(Z/p^k)^x`` at working precision:
+    ``units`` is :meth:`UnitGroupStructure.units`, ``rows[i][j]`` the
+    embedded value of ``characters_mod(p, k)[i]`` at ``units[j]`` and
+    ``table`` the same matrix in complex128 (read-only)."""
     group = unit_group(p, k)
     n, index = character_phases(p, k)
     roots = unity_table(n)
@@ -299,15 +303,10 @@ def zeta1(p: int) -> mpf:
     return mpf(p) / (p - 1)
 
 
-@lru_cache(maxsize=1024)
-def _zeta1_q_power_cached(p: int, a: int, prec: int) -> mpf:
-    return zeta1(p) * q_power(p, a)
-
-
 def zeta1_q_power(p: int, a: int) -> mpf:
     """``zeta(1) q^(-a/2)``, the scale of a Gauss transform at valuation
     ``-a``, at the working precision."""
-    return _zeta1_q_power_cached(p, a, mp.prec)
+    return zeta1(p) * q_power(p, a)
 
 
 def gauss_sum_closed(x: PAdicApprox, mu: UnitCharacter) -> mpc:
@@ -327,34 +326,6 @@ def gauss_sum_closed(x: PAdicApprox, mu: UnitCharacter) -> mpc:
         return mpc(0)
     mu_inv_at_x = mu.eval_unit(x.unit_mod(a)).inverse()
     return zeta1_q_power(p, a) * epsilon_factor(mu.inverse()) * mu_inv_at_x.embed()
-
-
-_eps_perturbation = [mpf(0)]
-
-
-@contextmanager
-def perturb_epsilon(delta):
-    """Multiply every ramified epsilon factor by (1 + delta).  Canary hook for
-    testing that the verification harness actually detects wrong constants."""
-    old = _eps_perturbation[0]
-    _eps_perturbation[0] = mpf(delta)
-    try:
-        yield
-    finally:
-        _eps_perturbation[0] = old
-
-
-def epsilon_perturbation() -> mpf:
-    """The relative error :func:`perturb_epsilon` injects now (0 outside it)."""
-    return _eps_perturbation[0]
-
-
-def perturbed(value, count: int = 1):
-    """``value`` times ``(1 + delta)^count`` under :func:`perturb_epsilon`
-    (``count`` ramified epsilon factors, negative in a denominator), and
-    ``value`` itself outside it."""
-    delta = _eps_perturbation[0]
-    return value * (1 + delta) ** count if delta and count else value
 
 
 def _stationary_terms(mu: UnitCharacter) -> list:
@@ -429,17 +400,7 @@ def epsilon_root(mu: UnitCharacter) -> RootOfUnity | None:
     return r0 * _coset_phase(mu.p, [t * r0.inverse() for t in terms])
 
 
-@lru_cache(maxsize=None)
-def _eps_cached(mu: UnitCharacter, prec: int) -> mpc:
-    root = epsilon_root(mu)
-    if root is not None:
-        return root.embed()
-    total = mpc(0)
-    for term in _stationary_terms(mu):
-        total += term.embed()
-    return total * q_power(mu.p, 1)
-
-
+@working_cache(maxsize=None)
 def epsilon_factor(mu: UnitCharacter) -> mpc:
     """epsilon(1/2, mu) for mu trivial at the uniformizer; 1 when unramified.
 
@@ -455,11 +416,18 @@ def epsilon_factor(mu: UnitCharacter) -> mpc:
     over the units ``y mod p^(a-c)`` with ``y = -beta (mod p^c)``
     (Iwaniec-Kowalski, *Analytic Number Theory*, Lemmas 12.2-12.3).  For
     ``a >= 2`` this is :func:`epsilon_root`, embedded once; at ``a = 1`` the
-    ``p - 1`` terms are embedded and summed.
+    ``p - 1`` terms are embedded and summed.  A ramified factor is scaled
+    under :func:`~padwhit.numerics.perturb_epsilon`.
     """
     if mu.conductor == 0:
         return mpc(1)
-    return perturbed(_eps_cached(mu, mp.prec))
+    root = epsilon_root(mu)
+    if root is not None:
+        return perturbed(root.embed())
+    total = mpc(0)
+    for term in _stationary_terms(mu):
+        total += term.embed()
+    return perturbed(total * q_power(mu.p, 1))
 
 
 def _critical_phase(chi: UnitCharacter) -> tuple[int, int]:

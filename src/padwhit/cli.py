@@ -26,9 +26,9 @@ import time
 from mpmath import mp, mpf
 
 from . import __version__
-from .characters import perturb_epsilon
+from .characters import format_char, parse_unit_char
 from .engine import Representative, sup_norm, whittaker_value
-from .numerics import set_precision
+from .numerics import perturb_epsilon, set_precision
 from .representations import (
     Representation,
     parse_rep,
@@ -69,8 +69,6 @@ def _rep_from_args(args) -> Representation:
 
 def _check_sc_payload(payload: str, rep) -> None:
     """--sc n,CHAR must agree with the oracle file contents."""
-    from .characters import format_char, parse_unit_char
-
     parts = payload.split(",", 1)
     if len(parts) != 2:
         raise UsageError("--sc expects 'n,CHAR' (conductor exponent and "
@@ -213,10 +211,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def cmd_verify(args) -> int:
     suites = ("gl1", "representation", "main") if args.suite == "all" else (args.suite,)
-    if args.perturb_eps:
-        with perturb_epsilon(args.perturb_eps):
-            reports = run_suite(tuple(args.p), args.amax, args.nmax, suites)
-    else:
+    with perturb_epsilon(args.perturb_eps):
         reports = run_suite(tuple(args.p), args.amax, args.nmax, suites)
     doc = {
         "schema_version": SCHEMA_VERSION,

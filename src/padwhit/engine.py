@@ -34,16 +34,28 @@ from .characters import (
     UnitCharacter,
     character_table,
     characters_mod,
+    critical_unit,
     epsilon_factor,
-    epsilon_perturbation,
     epsilon_root,
-    perturbed,
     zeta1,
     zeta1_q_power,
 )
-from .numerics import ONE, RootOfUnity, ScaledRoot, expand_geometric, q_power
+from .numerics import (
+    ONE,
+    RootOfUnity,
+    ScaledRoot,
+    expand_geometric,
+    perturbed,
+    q_power,
+    working_cache,
+)
 from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
-from .representations import Representation, trivial_character
+from .representations import (
+    PrincipalSeries,
+    Representation,
+    SupercuspidalOracle,
+    trivial_character,
+)
 
 log = logging.getLogger("padwhit")
 
@@ -156,8 +168,8 @@ def _closed_form(parts, d_lo: int, d_hi: int) -> list:
     return first
 
 
-@lru_cache(maxsize=256)
-def _rational(num: int, den: int, prec: int) -> mpf:
+@working_cache(maxsize=256)
+def _rational(num: int, den: int) -> mpf:
     return mpf(num) / den
 
 
@@ -253,7 +265,7 @@ def coefficient_table(rep: Representation, k: int,
         ramified -= td.ramified
     else:
         approx = 1 / td.eps if approx is None else approx / td.eps
-    scalar = perturbed(_rational(num, den, mp.prec), ramified)
+    scalar = perturbed(_rational(num, den), ramified)
     A = td.A
     d_last = _window(rep) + A
     if not duals and not roots and approx is None:
@@ -295,7 +307,7 @@ def coefficient_table(rep: Representation, k: int,
     return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli)
 
 
-# Bounded like _dual_at, which wraps it, so that a long scan does not keep
+# Bounded like _dual, which wraps it, so that a long scan does not keep
 # one dual per descriptor it has ever seen.  A recomputed dual equals the
 # evicted one, so it still finds its levels in the level cache.
 @lru_cache(maxsize=1024)
@@ -341,24 +353,17 @@ class Level:
 # Bounded, so that a long scan does not keep every level it ever solved; the
 # largest working set in use, ~400 descriptors of conductor <= 4 queried at
 # random points, holds about 1,200 levels.
-@lru_cache(maxsize=2048)
-def _tables_for_level_at(rep: Representation, k: int, prec: int,
-                         eps_perturbation) -> Level:
+@working_cache(maxsize=2048)
+def tables_for_level(rep: Representation, k: int) -> Level:
+    """The :class:`Level` of every unit character of level <= k."""
     return Level((coefficient_table(rep, k, mu)
                   for mu in characters_mod(rep.p, k)), _window(rep))
 
 
-def tables_for_level(rep: Representation, k: int) -> Level:
-    """The :class:`Level` of every unit character of level <= k, cached per
-    working precision and epsilon perturbation."""
-    return _tables_for_level_at(rep, k, mp.prec, epsilon_perturbation())
-
-
 # The Atkin-Lehner data of a descriptor: its contragredient and the
-# contragredient's root number.  Keyed like the level cache, so a perturbed
-# epsilon factor never outlives its perturbation.
-@lru_cache(maxsize=1024)
-def _dual_at(rep: Representation, prec: int, eps_perturbation):
+# contragredient's root number.
+@working_cache(maxsize=1024)
+def _dual(rep: Representation):
     dual = contragredient_of(rep)
     return dual, dual.twist_data(trivial_character(rep.p)).eps
 
@@ -408,7 +413,7 @@ def atkin_lehner_reduce(rep: Representation, r: Representative):
     newvector W~; the phase has modulus 1."""
     _validate_rep_triple(rep, r)
     n, p = rep.n, rep.p
-    dual, eps_dual = _dual_at(rep, mp.prec, epsilon_perturbation())
+    dual, eps_dual = _dual(rep)
     phase_root = rep.omega.eval_unit(r.v).inverse()
     s = r.t + r.k
     if s < 0:
@@ -713,9 +718,6 @@ def _tail_sup_level(tables, t_max: int) -> mpf:
 def lower_bound_witness(rep: Representation) -> Representative:
     """The representative at which aligned epsilon phases force a large value,
     for principal series with cond(chi1) > 2 cond(chi2)."""
-    from .characters import critical_unit
-    from .representations import PrincipalSeries
-
     if not isinstance(rep, PrincipalSeries):
         raise ValueError("witness construction applies to principal series only")
     a1 = rep.chi1.conductor
@@ -747,8 +749,6 @@ def supercuspidal_closed_value(rep: Representation, r: Representative) -> mpc:
 
     Independent of the generic solver path; used to cross-check it.
     """
-    from .representations import SupercuspidalOracle
-
     if not isinstance(rep, SupercuspidalOracle):
         raise ValueError("closed form applies to the supercuspidal descriptor")
     _validate_rep_triple(rep, r)

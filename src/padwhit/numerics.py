@@ -15,14 +15,21 @@ From exact to numeric:
   few terms over at most two linear Euler factors: the degrees the numerator
   spans, and the partial fractions that give every degree after them.
 
+Every cached number depends on two pieces of global state: the working
+precision and the epsilon canary's ``delta`` (:func:`perturb_epsilon`).
+:func:`working_cache` keys a cache on both, besides the call's arguments;
+caches of exact values (roots of unity, characters, unit groups) are plain
+``lru_cache``.
+
 All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Mapping
 
 import numpy as np
@@ -54,19 +61,62 @@ def approx_equal(a, b, tol=TOL_USER) -> bool:
     return abs(mpc(a) - mpc(b)) <= tol
 
 
-@lru_cache(maxsize=None)
-def _embed_cached(num: int, order: int, prec: int) -> mpc:
+# The epsilon canary's relative error, as the mpf that perturbed() multiplies
+# by and as the double that keys working_cache: hashing an mpf is slow.
+_canary = [mpf(0), 0.0]
+
+
+@contextmanager
+def perturb_epsilon(delta):
+    """Multiply every ramified epsilon factor by ``(1 + delta)``, ``delta``
+    rounded to a double.  Canary hook for testing that the verification
+    harness actually detects wrong constants."""
+    old = _canary[:]
+    key = float(delta)
+    _canary[:] = [mpf(key), key]
+    try:
+        yield
+    finally:
+        _canary[:] = old
+
+
+def perturbed(value, count: int = 1):
+    """``value`` times ``(1 + delta)^count`` under :func:`perturb_epsilon`
+    (``count`` ramified epsilon factors, negative in a denominator), and
+    ``value`` itself outside it."""
+    delta = _canary[0]
+    return value * (1 + delta) ** count if delta and count else value
+
+
+def working_cache(maxsize):
+    """``lru_cache(maxsize)`` for a value computed at working precision.  The
+    key is the call's positional arguments plus the live precision and the
+    canary's ``delta``, so an entry never outlives either.  The wrapper has
+    ``cache_clear`` and ``cache_info``."""
+    def decorate(fn):
+        keyed = lru_cache(maxsize)(lambda prec, delta, *args: fn(*args))
+
+        # mp._prec is what the mp.prec property returns, read without its
+        # call: a hit costs one frame besides the lookup.
+        @wraps(fn)
+        def cached(*args):
+            return keyed(mp._prec, _canary[1], *args)
+
+        cached.cache_clear = keyed.cache_clear
+        cached.cache_info = keyed.cache_info
+        return cached
+
+    return decorate
+
+
+@working_cache(maxsize=None)
+def _embed(num: int, order: int) -> mpc:
     return mp.expjpi(mpf(2 * num) / order)
-
-
-@lru_cache(maxsize=64)
-def _unity_table_cached(order: int, prec: int) -> tuple:
-    return tuple(mp.expjpi(mpf(2 * j) / order) for j in range(order))
 
 
 def unity_table(order: int) -> tuple:
     """All order-th roots of unity ``(e^{2 pi i j/order})_j`` at working precision."""
-    return _unity_table_cached(order, mp.prec)
+    return tuple(mp.expjpi(mpf(2 * j) / order) for j in range(order))
 
 
 # Bits that the fixed-point root tables of unity_sum carry beyond the
@@ -74,14 +124,15 @@ def unity_table(order: int) -> tuple:
 _FIXED_GUARD = 32
 
 
-@lru_cache(maxsize=64)
-def _fixed_unity_table(order: int, bits: int) -> tuple:
+@working_cache(maxsize=64)
+def _fixed_unity_table(order: int) -> tuple:
     """``(re, im)``: the parts of every ``e(j / order)`` times ``2^bits``,
-    floored to integers.  Each integer is within 2 of ``2^bits`` times the
-    exact part: the angle and the root are evaluated at ``bits + 8`` bits,
-    off by less than ``2^-4`` on that scale, and the floor by less than 1.
-    Each root is converted as it is made, so the ``order`` roots, about
-    400 bytes each as ``mpc``, are never held at once."""
+    ``bits = prec + 32``, floored to integers.  Each integer is within 2 of
+    ``2^bits`` times the exact part: the angle and the root are evaluated at
+    ``bits + 8`` bits, off by less than ``2^-4`` on that scale, and the floor
+    by less than 1.  Each root is converted as it is made, so the ``order``
+    roots, about 400 bytes each as ``mpc``, are never held at once."""
+    bits = mp.prec + _FIXED_GUARD
     re, im = [], []
     with mp.workprec(bits + 8):
         for j in range(order):
@@ -104,7 +155,7 @@ def unity_sum(phases, order: int) -> mpc:
     ``|result - sum| <= 2^-prec |sum| + K 2^(3/2 - F)``.
     """
     bits = mp.prec + _FIXED_GUARD
-    re, im = _fixed_unity_table(order, bits)
+    re, im = _fixed_unity_table(order)
     counts = np.bincount(phases, minlength=order)
     live = np.flatnonzero(counts).tolist()
     weights = counts[live].tolist()
@@ -145,7 +196,7 @@ class RootOfUnity:
 
     def embed(self) -> mpc:
         """Numeric value at the working precision; |result| = 1 up to 2^(1-P)."""
-        return _embed_cached(self.num, self.order, mp.prec)
+        return _embed(self.num, self.order)
 
     def __repr__(self):
         return f"RootOfUnity({self.num}, {self.order})"
@@ -155,19 +206,15 @@ ONE = RootOfUnity(0, 1)
 MINUS_ONE = RootOfUnity(1, 2)
 
 
-@lru_cache(maxsize=4096)
-def _q_power_cached(q: int, s: int, prec: int) -> mpf:
+@working_cache(maxsize=4096)
+def q_power(q: int, s: int) -> mpf:
+    """``q^(-s/2)`` at the working precision."""
     return mp.power(q, -mpf(s) / 2)
 
 
-def q_power(q: int, s: int) -> mpf:
-    """``q^(-s/2)`` at the working precision."""
-    return _q_power_cached(q, s, mp.prec)
-
-
-@lru_cache(maxsize=4096)
-def _scaled_embed_cached(num: int, order: int, q: int, s: int, prec: int) -> mpc:
-    return _embed_cached(num, order, prec) * _q_power_cached(q, s, prec)
+@working_cache(maxsize=4096)
+def _scaled_embed(num: int, order: int, q: int, s: int) -> mpc:
+    return _embed(num, order) * q_power(q, s)
 
 
 @dataclass(frozen=True)
@@ -197,8 +244,7 @@ class ScaledRoot:
         return q_power(self.q, self.s)
 
     def embed(self) -> mpc:
-        return _scaled_embed_cached(self.root.num, self.root.order, self.q,
-                                    self.s, mp.prec)
+        return _scaled_embed(self.root.num, self.root.order, self.q, self.s)
 
 
 def expand_geometric(terms: Mapping[int, mpc], roots: tuple):

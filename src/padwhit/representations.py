@@ -25,7 +25,7 @@ from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
-from .numerics import ONE, MINUS_ONE, RootOfUnity, ScaledRoot, approx_equal
+from .numerics import ONE, MINUS_ONE, RootOfUnity, ScaledRoot, approx_equal, perturbed
 from .characters import (
     ExtendedCharacter,
     UnitCharacter,
@@ -34,7 +34,6 @@ from .characters import (
     make_character,
     parse_char,
     parse_unit_char,
-    perturbed,
     twisted,
 )
 
@@ -49,7 +48,7 @@ class TwistData:
 
     ``root`` is the epsilon factor as an exact root of unity, the product of
     ``ramified`` ramified GL(1) epsilon factors, each of which
-    :func:`~padwhit.characters.perturb_epsilon` scales.  It is None when a
+    :func:`~padwhit.numerics.perturb_epsilon` scales.  It is None when a
     factor has conductor 1 or comes from an oracle table; ``approx`` then
     holds the numeric epsilon factor, perturbation included.
     """

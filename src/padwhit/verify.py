@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -27,16 +27,15 @@ from .characters import (
     characters_mod,
     critical_unit,
     epsilon_factor,
-    epsilon_perturbation,
     epsilon_root,
     gauss_sum,
     gauss_sum_closed,
-    perturbed,
     verify_critical_unit,
     format_char,
     zeta1,
 )
 from .engine import (
+    Mat2,
     Representative,
     atkin_lehner_reduce,
     coefficient_table,
@@ -44,12 +43,13 @@ from .engine import (
     conjugate_value,
     lambda_sq_sum,
     lower_bound_witness,
+    reduce_matrix,
     sup_norm,
     supercuspidal_closed_value,
     tables_for_level,
     whittaker_value,
 )
-from .numerics import ONE, MINUS_ONE, RootOfUnity, unity_sum
+from .numerics import ONE, MINUS_ONE, RootOfUnity, perturbed, unity_sum, working_cache
 from .padics import PAdicApprox, psi_eval, unit_group
 from .representations import (
     PrincipalSeries,
@@ -189,15 +189,12 @@ def pair_sum(p: int, r: int, chi: UnitCharacter, v: int) -> mpc:
     if r < 2 or chi.conductor >= r:
         raise ValueError(f"pair sums need r >= 2 and cond(chi) < r; got r = {r}, "
                          f"cond(chi) = {chi.conductor}")
-    transform = _pair_transform(p, r, chi, mp.prec, epsilon_perturbation())
+    transform = _pair_transform(p, r, chi)
     return transform[unit_group(p, r).index(v)]
 
 
-# Bounded, and keyed like the level cache, so a perturbed epsilon factor
-# never outlives its perturbation.
-@lru_cache(maxsize=128)
-def _pair_transform(p: int, r: int, chi: UnitCharacter, prec: int,
-                    eps_perturbation) -> tuple:
+@working_cache(maxsize=128)
+def _pair_transform(p: int, r: int, chi: UnitCharacter) -> tuple:
     """:func:`pair_sum` at every unit of ``unit_group(p, r).units()``.
 
     Both factors of each weight ``eps(mu^-1) eps(mu chi)`` have conductor
@@ -263,7 +260,7 @@ def _random_triples(rep: Representation, count: int, seed: int):
         k = rng.randint(0, n)
         t = rng.randint(-k - n, n + 4)
         kn = max(min(k, n - k), 1)
-        v = rng.choice(unit_group(p, kn).units()) if kn else 1
+        v = rng.choice(unit_group(p, kn).units())
         out.append(Representative(t, k, v))
     return out
 
@@ -373,10 +370,6 @@ def check_diagonal_and_reduction(rep: Representation, seed: int = 29) -> CheckRe
     coset reduction: reduce diag(p^t v, 1) to its representative triple and
     compare the reconstructed value with the diagonal table, for both
     invariance variants.  Exercises the disjoint-union bookkeeping."""
-    from fractions import Fraction
-
-    from .engine import Mat2, reduce_matrix
-
     report = CheckReport(
         "diagonal-via-reduction",
         "matrix reduction of diag(p^t v, 1) reproduces the diagonal value "
@@ -433,9 +426,6 @@ def check_closed_forms(rep: Representation) -> CheckReport:
     forms: single support at t = -k - n for one ramified factor (k >= 1),
     single support at the twisted conductor for two ramified factors and
     generic twists."""
-    from .characters import gauss_sum_closed
-    from .representations import PrincipalSeries
-
     report = CheckReport(
         "closed-form-columns",
         "principal-series solver columns equal their epsilon/Gauss closed forms",
@@ -592,8 +582,6 @@ def check_representation(rep: Representation) -> CheckReport:
     # Structural invariants of the descriptor itself.
     agg.record_bool(rep.m <= rep.n, "central conductor exceeds n")
     if 2 * rep.m > rep.n:
-        from .representations import PrincipalSeries
-
         agg.record_bool(isinstance(rep, PrincipalSeries),
                         "highly ramified center on a non-induced type")
     for part in parts:

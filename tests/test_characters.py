@@ -19,12 +19,18 @@ from padwhit.characters import (
     make_character,
     parse_char,
     parse_unit_char,
-    perturb_epsilon,
     twisted,
     verify_critical_unit,
     zeta1,
 )
-from padwhit.numerics import ONE, RootOfUnity, approx_equal, get_precision, set_precision
+from padwhit.numerics import (
+    ONE,
+    RootOfUnity,
+    approx_equal,
+    get_precision,
+    perturb_epsilon,
+    set_precision,
+)
 from padwhit.padics import PAdicApprox, _exponent_tuples, unit_group
 
 TOL = mpf("1e-20")
@@ -302,7 +308,7 @@ def fresh_epsilon_roots():
     characters.epsilon_root.cache_clear()
     yield
     characters.epsilon_root.cache_clear()
-    characters._eps_cached.cache_clear()
+    characters.epsilon_factor.cache_clear()
 
 
 @pytest.mark.parametrize("mutation", ["dropped Legendre symbol", "swapped eps_p"])
@@ -419,7 +425,7 @@ def test_character_table_evaluates_no_character(monkeypatch):
         raise AssertionError("a character table entry was evaluated one by one")
 
     monkeypatch.setattr(characters.UnitCharacter, "eval_unit", refuse)
-    characters._character_table_at.cache_clear()
+    characters.character_table.cache_clear()
     units, rows, _ = character_table(5, 4)
     assert len(rows) == len(units) == 500
 

@@ -12,12 +12,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from padwhit import characters, engine
-from padwhit.characters import (
-    ExtendedCharacter,
-    characters_mod,
-    make_character,
-    perturb_epsilon,
-)
+from padwhit.characters import ExtendedCharacter, characters_mod, make_character
 from padwhit.engine import (
     Mat2,
     Representative,
@@ -40,6 +35,7 @@ from padwhit.numerics import (
     MINUS_ONE,
     RootOfUnity,
     get_precision,
+    perturb_epsilon,
     set_precision,
 )
 from padwhit.padics import PAdicApprox, psi_eval, unit_group
@@ -435,7 +431,7 @@ def test_level_solves_make_no_character_products(monkeypatch):
 
     monkeypatch.setattr(characters.UnitCharacter, "__mul__", refuse)
     monkeypatch.setattr(characters, "make_character", refuse)
-    engine._tables_for_level_at.cache_clear()
+    engine.tables_for_level.cache_clear()
     for rep in family:
         for k in range(rep.n + 1):
             tables_for_level(rep, k)
@@ -497,11 +493,11 @@ def test_sup_norm_precision_sweep():
 def test_canary_leaves_no_trace_in_table_cache():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
     r = Representative(-3, 1, 1)
-    engine._tables_for_level_at.cache_clear()
+    engine.tables_for_level.cache_clear()
     with perturb_epsilon(1e-3):
         perturbed = whittaker_value(rep, r)  # solved cold, under the canary
     after = whittaker_value(rep, r)
-    engine._tables_for_level_at.cache_clear()
+    engine.tables_for_level.cache_clear()
     cold = whittaker_value(rep, r)
     assert after == cold
     assert abs(perturbed - cold) > mpf("1e-4")
@@ -518,7 +514,7 @@ def test_canary_leaves_no_trace_in_atkin_lehner_cache():
     plain = atkin_lehner_reduce(rep, r)[0]  # warm, unperturbed
     with perturb_epsilon(1e-3):
         warm = atkin_lehner_reduce(rep, r)[0]
-    engine._dual_at.cache_clear()
+    engine._dual.cache_clear()
     with perturb_epsilon(1e-3):
         cold = atkin_lehner_reduce(rep, r)[0]
     assert warm == cold
@@ -571,13 +567,13 @@ def test_canary_moves_exact_columns_and_leaves_no_trace():
     # reach the values through the perturbation of the rationals.
     rep = PrincipalSeries(ext(2, 3, [1, 1]), ext(2, 0, []))
     r = Representative(-4, 1, 1)
-    engine._tables_for_level_at.cache_clear()
+    engine.tables_for_level.cache_clear()
     plain = whittaker_value(rep, r)
     with perturb_epsilon(1e-3):
         perturbed = whittaker_value(rep, r)
     assert abs(perturbed - plain) > mpf("1e-4") * abs(plain)
     assert whittaker_value(rep, r) == plain
-    engine._tables_for_level_at.cache_clear()
+    engine.tables_for_level.cache_clear()
     assert whittaker_value(rep, r) == plain
 
 
@@ -594,12 +590,12 @@ def test_contragredient_cache_is_bounded_and_duals_still_hit_the_level_cache():
         contragredient_of(other)
     assert contragredient_of.cache_info().currsize == bound
     misses = contragredient_of.cache_info().misses
-    hits = engine._tables_for_level_at.cache_info().hits
+    hits = engine.tables_for_level.cache_info().hits
     again = contragredient_of(rep)  # evicted, so built anew
     assert contragredient_of.cache_info().misses == misses + 1
     assert again == dual
     assert tables_for_level(again, 1) is level
-    assert engine._tables_for_level_at.cache_info().hits == hits + 1
+    assert engine.tables_for_level.cache_info().hits == hits + 1
 
 
 def test_engine_never_reaches_the_brute_force_gauss_sum(monkeypatch):
@@ -607,9 +603,9 @@ def test_engine_never_reaches_the_brute_force_gauss_sum(monkeypatch):
         raise AssertionError("an epsilon factor was summed over every unit")
 
     monkeypatch.setattr(characters, "gauss_sum", refuse)
-    characters._eps_cached.cache_clear()
-    engine._tables_for_level_at.cache_clear()
-    engine._dual_at.cache_clear()
+    characters.epsilon_factor.cache_clear()
+    engine.tables_for_level.cache_clear()
+    engine._dual.cache_clear()
     family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
     for rep in family:
         assert sup_norm(rep).certified, rep.spec_string()

@@ -10,9 +10,11 @@ from padwhit.numerics import (
     approx_equal,
     expand_geometric,
     get_precision,
+    perturb_epsilon,
     set_precision,
     unity_sum,
     unity_table,
+    working_cache,
 )
 
 
@@ -238,6 +240,30 @@ def test_unity_table_follows_working_precision():
     with mp.workprec(80):
         assert unity_table(7)[1] == mp.expjpi(mpf(2) / 7)
     assert unity_table(7)[1] == mp.expjpi(mpf(2) / 7)
+
+
+def test_working_cache_keys_on_precision_and_canary():
+    @working_cache(maxsize=8)
+    def third(n):
+        return mpf(1) / (3 * n)
+
+    first = third(1)
+    assert first == mpf(1) / 3
+    assert third(1) is first
+    with mp.workprec(53):
+        low = third(1)
+        assert low == mpf(1) / 3
+    assert low != first
+    assert third(1) is first
+    with perturb_epsilon(1e-3):
+        canary = third(1)
+        assert canary == first and canary is not first
+        assert third(1) is canary
+    assert third(1) is first
+    assert third.cache_info().currsize == 3
+    third.cache_clear()
+    assert third.cache_info().currsize == 0
+    assert third(1) is not first
 
 
 @pytest.mark.parametrize("bits", [53, 128])

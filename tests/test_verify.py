@@ -1,5 +1,6 @@
 from padwhit import engine
-from padwhit.characters import make_character, perturb_epsilon
+from padwhit.characters import make_character
+from padwhit.numerics import perturb_epsilon
 from padwhit.representations import PrincipalSeries, standard_family
 from padwhit.characters import ExtendedCharacter
 from padwhit.verify import (
