@@ -14,10 +14,12 @@ part cancelling exactly against the matching dual Euler factor) and reads
 every coefficient off the partial fractions, a finite head plus a geometric
 tail in the Satake parameters.
 
-Columns with ``k > n/2`` are never solved directly in normal operation; they
-reduce to the contragredient at ``n - k`` through the generalized
-Atkin-Lehner relation.  The direct solve remains available behind
+Columns with ``k > n/2`` are never solved directly in normal operation; point
+values there reduce to the contragredient at ``n - k`` through the
+generalized Atkin-Lehner relation.  The direct solve remains available behind
 ``direct=True`` precisely so the reduction can be tested against it.
+:func:`sup_norm` needs neither: the newvector's own levels ``k <= n/2`` hold
+every modulus of ``W``.
 """
 
 from __future__ import annotations
@@ -307,9 +309,10 @@ def coefficient_table(rep: Representation, k: int,
     return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli)
 
 
-# Bounded like _dual, which wraps it, so that a long scan does not keep
-# one dual per descriptor it has ever seen.  A recomputed dual equals the
-# evicted one, so it still finds its levels in the level cache.
+# Bounded like _dual, which wraps it, so that a long run of point values
+# above n/2 does not keep one dual per descriptor it has ever seen.  A
+# recomputed dual equals the evicted one, so it still finds its levels in
+# the level cache.
 @lru_cache(maxsize=1024)
 def contragredient_of(rep: Representation) -> Representation:
     return rep.contragredient()
@@ -488,7 +491,7 @@ class SupNormResult:
     lower_ref: mpf
     upper_ref: mpf
     t_max: int  # the last t scanned; the tail bound covers the rest
-    tail_bound: mpf = None  # certified sup of |W| beyond t_max
+    tail_bound: mpf  # certified sup of |W| beyond t_max
 
 
 def theorem_refs(rep: Representation):
@@ -502,13 +505,26 @@ def theorem_refs(rep: Representation):
 def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     """Certified maximum of |W| over the whole group.
 
-    Scans levels k <= n/2 of the newvector and of its contragredient (the
-    latter covers the levels above n/2 through the Atkin-Lehner symmetry),
-    over the complete representative domain; the tail certificates of the
-    coefficient tables bound everything beyond the window.  Each level is
-    screened in complex128 (:func:`_screen`) and only the points that can
-    reach the tie threshold of the maximum are synthesized at working
-    precision, so the result is the one of synthesizing every point.
+    Scans the newvector's levels k <= n/2 over the complete representative
+    domain; the tail certificates of the coefficient tables bound everything
+    beyond the window.  Each level is screened in complex128
+    (:func:`_screen`) and only the points that can reach the tie threshold
+    of the maximum are synthesized at working precision, so the result is
+    the one of synthesizing every point.  Tied values: the witness is the
+    first of them in (k, t, dlog v) order, the order of the scan.
+
+    The levels above n/2 hold no other moduli.  The Atkin-Lehner relation
+    (:func:`atkin_lehner_reduce`) gives
+    ``W(g(t,k,v)) = phase W~(g(t + 2k - n, n - k, -v))`` with
+    ``|phase| = 1``, and the contragredient newvector is the conjugate one,
+    ``W~(g(t,k,v)) = omega(-1) conj W(g(t,k,-v))``.
+    Together ``|W(g(t,k,v))| = |W(g(t + 2k - n, n - k, v))|``, and
+    ``t >= -k - n`` exactly when ``t + 2k - n >= -(n - k) - n``, so each
+    point of level k > n/2 has the modulus of a scanned point or of one
+    beyond the window.  The same identity, expanded in ``v``, gives the
+    contragredient's exact coefficients the moduli
+    ``|c~[t,k](nu)| = |c[t,k](nu^-1)|``, so the newvector's own tail bounds
+    certify the levels above n/2 as well.
 
     ``tolerance`` only guards consistency: a normalized newvector has
     ``|W(1)| = 1``, so ``h < 1 - tolerance`` raises ``RuntimeError``.  It
@@ -517,45 +533,29 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     """
     n, p = rep.n, rep.p
     t_max = _window(rep)
-    best = mpf(-1)
-    # Tied values: the witness is the first of them in (k, t, dlog v) order.
+    h = mpf(-1)
     tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
     cands: list[tuple] = []
     tail_sup = mpf(0)
     screened = synthesized = 0
-    for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
-        for k in range(n // 2 + 1):
-            level = tables_for_level(fam, k)
-            entries, n_screened, n_synthesized = _level_values(
-                level, character_table(p, k), -k - n, t_max, best, tie)
-            screened += n_screened
-            synthesized += n_synthesized
-            threshold = best * tie
-            for value, t, v in entries:
-                if value > best:
-                    best = value
-                    threshold = best * tie
-                if value >= threshold:
-                    cands.append((value, is_dual, t, k, v))
-            tail_sup = max(tail_sup, _tail_sup_level(level.columns, t_max))
+    for k in range(n // 2 + 1):
+        level = tables_for_level(rep, k)
+        entries, n_screened, n_synthesized = _level_values(
+            level, character_table(p, k), -k - n, t_max, h, tie)
+        screened += n_screened
+        synthesized += n_synthesized
+        threshold = h * tie
+        for value, t, v in entries:
+            if value > h:
+                h = value
+                threshold = h * tie
+            if value >= threshold:
+                cands.append((value, Representative(t, k, v)))
+        tail_sup = max(tail_sup, _tail_sup_level(level.columns, t_max))
     log.debug("sup_norm %s: %d points screened in complex128, %d "
               "synthesized at %d bits", rep.spec_string(), screened,
               synthesized, mp.prec)
-    cands = [c for c in cands if c[0] >= best * tie]
-    # Map candidates to coordinates of the primary newvector and tie-break.
-    mapped = []
-    for value, is_dual, t, k, v in cands:
-        if is_dual:
-            t2, k2 = t + 2 * k - n, n - k
-            kn2 = min(k2, n - k2)
-            v2 = (-v) % max(p**kn2, 2)
-            if v2 == 0:
-                v2 = 1
-            mapped.append((k2, t2, unit_group(p, kn2).index(v2), v2, value))
-        else:
-            mapped.append((k, t, unit_group(p, min(k, n - k)).index(v), v, value))
-    mapped.sort(key=lambda e: (e[0], e[1], e[2]))
-    k_w, t_w, _, v_w, h = mapped[0][0], mapped[0][1], mapped[0][2], mapped[0][3], best
+    witness = next(r for value, r in cands if value >= h * tie)
     if h < 1 - tolerance:
         raise RuntimeError(f"sup-norm {h} below 1; the solver is inconsistent")
     certified = tail_sup < h * (1 - mpf("1e-12"))
@@ -564,8 +564,7 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
                  "h %s by the margin 1e-12", rep.spec_string(),
                  mp.nstr(tail_sup, 17), mp.nstr(h, 17))
     lower, upper = theorem_refs(rep)
-    return SupNormResult(h, Representative(t_w, k_w, v_w), certified,
-                         lower, upper, t_max, tail_sup)
+    return SupNormResult(h, witness, certified, lower, upper, t_max, tail_sup)
 
 
 def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,

@@ -837,17 +837,20 @@ def test_sup_norm_deterministic_witness():
     assert (r1.h, r1.witness, r1.certified) == (r2.h, r2.witness, r2.certified)
 
 
-def _exhaustive_sup_norm_oracle(rep):
-    """sup_norm as it was before screening: every point synthesized at
-    working precision, every column's tail bound summed.  Returns
-    (h, witness, certified, tail_bound)."""
+def _exhaustive_sup_norm_oracle(rep, families):
+    """sup_norm without the screen: every point of levels k <= n/2 of each
+    descriptor in ``families`` (``rep`` or its contragredient) synthesized
+    at working precision, every column's tail bound summed, and the points
+    of the contragredient mapped to the newvector's coordinates through the
+    Atkin-Lehner relation.  Returns (h, witness, certified, tail_bound)."""
     n, p = rep.n, rep.p
     t_max = engine._window(rep)
     best = mpf(-1)
     tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
     cands = []
     tail_sup = mpf(0)
-    for fam, is_dual in ((rep, False), (contragredient_of(rep), True)):
+    for fam in families:
+        is_dual = fam is not rep
         for k in range(n // 2 + 1):
             tables = tables_for_level(fam, k).columns
             units, rows, _ = characters.character_table(p, k)
@@ -901,15 +904,17 @@ def _exhaustive_sup_norm_oracle(rep):
     return best, Representative(t_w, k_w, v_w), certified, tail_sup
 
 
+SCREEN_FAMILY = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
+
+
 @pytest.mark.parametrize("bits", [53, 64, 128])
 def test_sup_norm_screen_matches_exhaustive_oracle(bits):
-    family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
     old = get_precision()
     try:
         set_precision(bits)
-        for rep in family:
+        for rep in SCREEN_FAMILY:
             got = sup_norm(rep)
-            h, witness, certified, tail = _exhaustive_sup_norm_oracle(rep)
+            h, witness, certified, tail = _exhaustive_sup_norm_oracle(rep, (rep,))
             spec = rep.spec_string()
             assert got.h == h, spec
             assert got.witness == witness, spec
@@ -917,6 +922,56 @@ def test_sup_norm_screen_matches_exhaustive_oracle(bits):
             assert got.tail_bound == tail, spec
     finally:
         set_precision(old)
+
+
+def _within_tie_ulps(x, y):
+    return abs(x - y) <= engine.TIE_ULPS * mpf(2) ** -mp.prec * max(abs(x), abs(y))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128])
+def test_sup_norm_matches_the_scan_of_both_families(bits):
+    # Scanning the contragredient's levels too, and mapping its points back
+    # through the Atkin-Lehner relation, finds the same witness and
+    # certificate; h and the tail bound move only by rounding.
+    old = get_precision()
+    try:
+        set_precision(bits)
+        for rep in SCREEN_FAMILY:
+            got = sup_norm(rep)
+            dual = contragredient_of(rep)
+            h, witness, certified, tail = _exhaustive_sup_norm_oracle(
+                rep, (rep, dual))
+            spec = rep.spec_string()
+            assert got.witness == witness, spec
+            assert got.certified == certified, spec
+            assert _within_tie_ulps(got.h, h), spec
+            assert _within_tie_ulps(got.tail_bound, tail), spec
+            assert _within_tie_ulps(got.h, sup_norm(dual).h), spec
+    finally:
+        set_precision(old)
+
+
+def test_sup_norm_solves_only_the_newvector_levels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sup_norm reached the contragredient")
+
+    solved = []
+    tables = engine.tables_for_level
+
+    def record(rep, k):
+        solved.append((rep, k))
+        return tables(rep, k)
+
+    monkeypatch.setattr(engine, "contragredient_of", refuse)
+    monkeypatch.setattr(engine, "_dual", refuse)
+    monkeypatch.setattr(engine, "tables_for_level", record)
+    family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
+    for rep in family:
+        solved.clear()
+        sup_norm(rep)
+        spec = rep.spec_string()
+        assert all(fam is rep for fam, _ in solved), spec
+        assert [k for _, k in solved] == list(range(rep.n // 2 + 1)), spec
 
 
 def _random_rows(rng, n_chars, count):
