@@ -55,7 +55,7 @@ print(f"  |phase| = {mp.nstr(abs(phase), 10)}")
 
 print()
 print("== reducing a raw matrix ==")
-g = Mat2.from_rationals(p, [Fraction(7, 3), 2, 9, Fraction(1, 2)], 16)
+g = Mat2.from_rationals(p, [Fraction(7, 3), 2, 9, Fraction(1, 2)])
 psi_ph, omega_ph, rep_triple = reduce_matrix(pi, g)
 value = psi_ph.embed() * omega_ph.embed() * whittaker_value(pi, rep_triple)
 print(f"  g reduces to {rep_triple} with phases psi = {psi_ph}, "

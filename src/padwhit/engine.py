@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +52,7 @@ from .numerics import (
     q_power,
     working_cache,
 )
-from .padics import PAdicApprox, PrecisionError, psi_eval, unit_group
+from .padics import PAdicApprox, psi_eval, split_rational, unit_group
 from .representations import (
     PrincipalSeries,
     Representation,
@@ -775,65 +776,43 @@ def supercuspidal_closed_value(rep: Representation, r: Representative) -> mpc:
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix with truncated p-adic entries."""
+    """2x2 matrix over Q, read p-adically: the prime ``p`` and four exact
+    ``Fraction`` entries.  Valuations and unit residues are decided exactly,
+    so every invertible matrix reduces."""
 
-    a: PAdicApprox
-    b: PAdicApprox
-    c: PAdicApprox
-    d: PAdicApprox
+    p: int
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
 
     @classmethod
-    def from_rationals(cls, p: int, entries, K: int) -> "Mat2":
-        vals = []
-        for x in entries:
-            if x == 0:
-                vals.append(PAdicApprox.zero(p))
-            else:
-                vals.append(PAdicApprox.from_rational(p, x, K))
-        return cls(*vals)
+    def from_rationals(cls, p: int, entries, K: int | None = None) -> "Mat2":
+        """The matrix ``[[a, b], [c, d]]``, each entry read as ``Fraction(x)``
+        (a float converts to its exact dyadic value).
 
-    def det(self) -> PAdicApprox:
-        try:
-            return self.a * self.d - self.b * self.c
-        except PrecisionError:
-            raise PrecisionError("determinant not resolvable at this precision")
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        def dot(x1, y1, x2, y2):
-            s = x1 * x2
-            t = y1 * y2
-            if s.exact_zero:
-                return t
-            if t.exact_zero:
-                return s
-            return s + t
-
-        return Mat2(
-            dot(self.a, self.b, other.a, other.c),
-            dot(self.a, self.b, other.b, other.d),
-            dot(self.c, self.d, other.a, other.c),
-            dot(self.c, self.d, other.b, other.d),
-        )
-
-
-def _val(x: PAdicApprox):
-    return None if x.exact_zero else x.valuation()
+        ``K`` is ignored.  It is kept, and refused below 1, only for the
+        point-values workload in ``perfbench/workloads.py``, which still
+        passes a digit count."""
+        if K is not None and K < 1:
+            raise ValueError("working exponent K must be >= 1")
+        return cls(p, *(Fraction(x) for x in entries))
 
 
 def decompose_matrix(g: Mat2, n: int):
     """Write ``g = z(u) n(x) g(t,k,v) kappa`` with kappa in the level-n
     subgroup (upper-left entry 1 mod p^n, lower-left entry in p^n Z_p).
 
-    Returns ``(u, x, Representative(t, k, v))``; ``u`` and ``x`` are exact
-    p-adic data and ``v`` is an exact integer representing its class mod p^k.
+    Returns ``(u, x, Representative(t, k, v))``: ``u`` and ``x`` are exact
+    ``Fraction``s and ``v`` is an integer representing its class mod p^k.
     """
-    p = g.a.p
-    det = g.det()
-    if det.exact_zero:
+    p, a, b, c, d = g.p, g.a, g.b, g.c, g.d
+    det = a * d - b * c
+    if det == 0:
         raise ValueError("matrix is singular")
-    vc, vd = _val(g.c), _val(g.d)
-    if vc is None and vd is None:
-        raise ValueError("matrix is singular")
+    t_det = split_rational(p, det)[0]
+    vc = split_rational(p, c)[0] if c else None
+    vd = split_rational(p, d)[0] if d else None
     if vc is None:
         k = n
     elif vd is None:
@@ -842,52 +821,35 @@ def decompose_matrix(g: Mat2, n: int):
         k = min(max(vc - vd, 0), n)
 
     if k == n:
-        # Kill the lower-left entry with a lower-triangular kappa, peel
-        # z(d) n(b/d) a(y) off the upper triangular result, and canonicalize
+        # The lower-triangular kappa [[1, 0], [-c/d, 1]] lies in the level-n
+        # subgroup and zeroes c, leaving the upper-left entry det/d; peel
+        # z(d) n(b/d) a(y) off the upper triangular result and canonicalize
         # the level-n representative to v = 1.
-        if not g.c.exact_zero:
-            gamma = -(g.c / g.d)
-            if gamma.valuation() < n:
-                raise PrecisionError("coset boundary: lower entry not reducible")
-            # g . [[1,0],[gamma,1]] zeroes the lower-left entry exactly.
-            a_new = g.a + g.b * gamma if not g.b.exact_zero else g.a
-            g = Mat2(a_new, g.b, PAdicApprox.zero(p), g.d)
-        t_y = det.valuation() - 2 * g.d.valuation()
-        u_y = det / (g.d * g.d) * _pi_pow(p, -t_y)
-        u = -(g.d * _pi_pow(p, n) * u_y)
-        x_tail = _pi_pow(p, t_y - n)
-        x = x_tail if g.b.exact_zero else g.b / g.d + x_tail
+        t_y = t_det - 2 * vd
+        u = -det / d * Fraction(p) ** (n - t_y)
+        x = b / d + Fraction(p) ** (t_y - n)
         return u, x, Representative(t_y - 2 * n, n, 1)
 
-    u = -g.c
-    y = PAdicApprox.zero(p) if g.d.exact_zero else -(g.d / g.c)
-    if y.exact_zero or y.valuation() > 0:
-        # k = 0 with integral d/c: slide to the unit class v = 1 by a
-        # unipotent kappa on the right; only the (2,2) ratio changes.
-        y = -_one(p)
-    if y.valuation() != -k:
-        raise PrecisionError("inconsistent level detected; raise the precision")
-    t = det.valuation() - 2 * g.c.valuation()
-    delta = det / (g.c * g.c) * _pi_pow(p, -t)
-    x = PAdicApprox.zero(p) if g.a.exact_zero else g.a / g.c
-    v_exact = -(y * _pi_pow(p, k)) * delta.inverse()
-    v = v_exact.unit_mod(max(k, 1))
-    return u, x, Representative(t, k, v)
-
-
-def _one(p: int) -> PAdicApprox:
-    return PAdicApprox(p, 0, 1, 30)
-
-
-def _pi_pow(p: int, t: int) -> PAdicApprox:
-    return PAdicApprox(p, t, 1, 30)
+    # u = -c and x = a/c.  v is the unit -y p^k / delta, with
+    # delta = det p^-t / c^2 and y = -e/c: e = d, unless d/c is integral
+    # (k = 0), where a unipotent kappa on the right slides y to -1 and e = c.
+    t = t_det - 2 * vc
+    e = c if vd is None or vd > vc else d
+    v = c * e * Fraction(p) ** (k + t) / det
+    mod = p ** max(k, 1)
+    return -c, a / c, Representative(t, k, v.numerator * pow(v.denominator, -1, mod) % mod)
 
 
 def reduce_matrix(rep: Representation, g: Mat2):
     """Phases and representative with ``W(g) = psi_phase * omega_phase * W(g(t,k,v))``."""
     u, x, r = decompose_matrix(g, rep.n)
-    psi_phase = psi_eval(x) if not x.exact_zero else ONE
-    if u.exact_zero:
-        raise ValueError("central part vanished; matrix is singular")
-    omega_phase = rep.omega.eval_unit(u.unit_mod(max(rep.m, 1)))
+    p = rep.p
+    psi_phase = ONE
+    if x:
+        t, num, den = split_rational(p, x)
+        if t < 0:
+            psi_phase = psi_eval(PAdicApprox(p, t, num * pow(den, -1, p**-t), -t))
+    _, num, den = split_rational(p, u)
+    mod = p ** max(rep.m, 1)
+    omega_phase = rep.omega.eval_unit(num * pow(den, -1, mod) % mod)
     return psi_phase, omega_phase, r

@@ -1,10 +1,12 @@
 """Bookkeeping for the base field Q_p.
 
-Elements are carried as truncated p-adic approximations ``p^t * u`` with the
-unit part ``u`` known modulo ``p^K``; the additive character ``psi`` of
-conductor Z_p evaluates such approximations to exact roots of unity.  Unit
-groups ``(Z/p^a)^x`` come with canonical generators and a full discrete-log
-table, which is what character evaluation and enumeration run on.
+A nonzero rational splits exactly as ``p^t * num/den`` with ``num`` and
+``den`` prime to p (:func:`split_rational`); that is all the matrix route
+needs.  A point of the additive character is a :class:`PAdicApprox`,
+``p^t * u`` with ``u`` a unit residue modulo ``p^K``; ``psi`` of conductor
+Z_p evaluates it to an exact root of unity.  Unit groups ``(Z/p^a)^x`` come
+with canonical generators and a full discrete-log table, which is what
+character evaluation and enumeration run on.
 """
 
 from __future__ import annotations
@@ -32,9 +34,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def split_rational(p: int, x) -> tuple[int, int, int]:
+    """``(t, num, den)`` with ``x = p^t * num / den`` and ``num``, ``den``
+    prime to ``p``; ``x`` is read exactly through ``Fraction(x)``."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("0 has no valuation")
+    num, den = x.numerator, x.denominator
+    t = 0
+    while num % p == 0:
+        num //= p
+        t += 1
+    while den % p == 0:
+        den //= p
+        t -= 1
+    return t, num, den
+
+
 @dataclass(frozen=True)
 class PAdicApprox:
-    """``p^t * unit`` with ``unit`` a unit residue modulo ``p^K``.
+    """``p^t * unit`` with ``unit`` a unit residue modulo ``p^K``: a point at
+    which ``psi`` and the Gauss transforms are evaluated.  It carries no
+    arithmetic; exact values are rationals, split by :func:`split_rational`.
 
     ``exact_zero`` marks the additive identity; its ``t`` is meaningless.
     """
@@ -56,26 +77,11 @@ class PAdicApprox:
         object.__setattr__(self, "unit", u)
 
     @classmethod
-    def zero(cls, p: int) -> "PAdicApprox":
-        return cls(p, 0, 1, 1, exact_zero=True)
-
-    @classmethod
     def from_rational(cls, p: int, x, K: int) -> "PAdicApprox":
         """Decompose a nonzero rational as ``p^t * u * (1 + O(p^K))``."""
-        x = Fraction(x)
-        if x == 0:
-            raise ValueError("0 has no valuation")
-        num, den = x.numerator, x.denominator
-        t = 0
-        while num % p == 0:
-            num //= p
-            t += 1
-        while den % p == 0:
-            den //= p
-            t -= 1
+        t, num, den = split_rational(p, x)
         mod = p**K
-        u = num * pow(den, -1, mod) % mod
-        return cls(p, t, u, K)
+        return cls(p, t, num * pow(den, -1, mod) % mod, K)
 
     def valuation(self) -> int:
         if self.exact_zero:
@@ -91,63 +97,6 @@ class PAdicApprox:
                 f"unit known mod p^{self.K}, requested mod p^{exponent}"
             )
         return self.unit % self.p**max(exponent, 0) if exponent > 0 else 0
-
-    def __mul__(self, other: "PAdicApprox") -> "PAdicApprox":
-        self._check_compat(other)
-        if self.exact_zero or other.exact_zero:
-            return PAdicApprox.zero(self.p)
-        K = min(self.K, other.K)
-        return PAdicApprox(self.p, self.t + other.t, self.unit * other.unit, K)
-
-    def inverse(self) -> "PAdicApprox":
-        if self.exact_zero:
-            raise ZeroDivisionError("inverse of 0")
-        mod = self.p**self.K
-        return PAdicApprox(self.p, -self.t, pow(self.unit, -1, mod), self.K)
-
-    def __truediv__(self, other: "PAdicApprox") -> "PAdicApprox":
-        return self * other.inverse()
-
-    def __neg__(self) -> "PAdicApprox":
-        if self.exact_zero:
-            return self
-        return PAdicApprox(self.p, self.t, -self.unit, self.K)
-
-    def __add__(self, other: "PAdicApprox") -> "PAdicApprox":
-        self._check_compat(other)
-        if self.exact_zero:
-            return other
-        if other.exact_zero:
-            return self
-        # Value known modulo p^(min over both of t + K).
-        known = min(self.t + self.K, other.t + other.K)
-        t0 = min(self.t, other.t)
-        if known - t0 < 1:
-            raise PrecisionError("operands share no common accuracy window")
-        mod = self.p ** (known - t0)
-        s = (
-            self.unit * self.p ** (self.t - t0)
-            + other.unit * self.p ** (other.t - t0)
-        ) % mod
-        if s == 0:
-            # Cancellation below the known accuracy; only an exact zero if the
-            # inputs were exact negatives, which the caller must decide.
-            raise PrecisionError("cancellation exhausted the working precision")
-        v = 0
-        while s % self.p == 0:
-            s //= self.p
-            v += 1
-        K = known - t0 - v
-        if K < 1:
-            raise PrecisionError("cancellation exhausted the working precision")
-        return PAdicApprox(self.p, t0 + v, s, K)
-
-    def __sub__(self, other: "PAdicApprox") -> "PAdicApprox":
-        return self + (-other)
-
-    def _check_compat(self, other: "PAdicApprox") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed residue characteristics")
 
     def __repr__(self):
         if self.exact_zero:

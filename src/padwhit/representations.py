@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import repr_dps
 
 from .numerics import ONE, MINUS_ONE, RootOfUnity, ScaledRoot, approx_equal, perturbed
 from .characters import (
@@ -88,13 +89,6 @@ class Representation:
     @property
     def has_trivial_lfactor(self) -> bool:
         raise NotImplementedError
-
-    @property
-    def working_exponent(self) -> int:
-        """Default p-adic truncation depth for values attached to this
-        representation; every formula in play touches unit residues only
-        modulo p^min(k, n-k) <= p^n."""
-        return self.n + 6
 
     def twist_data(self, mu: UnitCharacter) -> TwistData:
         raise NotImplementedError
@@ -354,7 +348,8 @@ def load_oracle(source) -> SupercuspidalOracle:
     """Load a supercuspidal oracle from a JSON file path, file object, or dict.
 
     Schema: ``{"p": int, "n": int, "omega": CHAR, "twists":
-    [{"mu": CHAR, "a_mu_pi": int, "eps": [re, im]}, ...]}``.
+    [{"mu": CHAR, "a_mu_pi": int, "eps": [re, im]}, ...]}``, with ``re`` and
+    ``im`` decimal strings or JSON numbers.
     """
     if isinstance(source, dict):
         data = source
@@ -375,6 +370,10 @@ def load_oracle(source) -> SupercuspidalOracle:
 
 
 def dump_oracle(rep: SupercuspidalOracle) -> dict:
+    """The JSON document :func:`load_oracle` reads.  Each ``eps`` part is a
+    decimal string with enough digits to read back bit for bit at the
+    working precision."""
+    dps = repr_dps(mp.prec)
     return {
         "p": rep.p,
         "n": rep.n,
@@ -383,7 +382,7 @@ def dump_oracle(rep: SupercuspidalOracle) -> dict:
             {
                 "mu": format_char(mu),
                 "a_mu_pi": A,
-                "eps": [float(eps.real), float(eps.imag)],
+                "eps": [mp.nstr(eps.real, dps), mp.nstr(eps.imag, dps)],
             }
             for mu, A, eps in rep.twists
         ],

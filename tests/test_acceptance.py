@@ -224,7 +224,7 @@ def test_criterion_05_normalization(scan_family):
         p, n = rep.p, rep.n
         r = Representative(-2 * n, n, 1)
         want = rep.omega.eval_unit(-1 % p ** max(rep.m, 1)).embed() \
-            * psi_eval(PAdicApprox(p, -n, -1, rep.working_exponent)).embed()
+            * psi_eval(PAdicApprox(p, -n, -1, n)).embed()
         worst = max(worst, abs(whittaker_value(rep, r, direct=True) - want))
         worst = max(worst, abs(whittaker_value(rep, r) - want))
     announce(5, worst < tol,

@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import random
 import re
@@ -38,7 +39,7 @@ from padwhit.numerics import (
     perturb_epsilon,
     set_precision,
 )
-from padwhit.padics import PAdicApprox, psi_eval, unit_group
+from padwhit.padics import PAdicApprox, psi_eval, split_rational, unit_group
 from padwhit.representations import (
     PrincipalSeries,
     SteinbergTwist,
@@ -75,7 +76,7 @@ def small_reps():
 def normalization_target(rep):
     p, n = rep.p, rep.n
     om = rep.omega.eval_unit(-1 % p ** max(rep.m, 1)).embed()
-    return om * psi_eval(PAdicApprox(p, -n, -1, rep.working_exponent)).embed()
+    return om * psi_eval(PAdicApprox(p, -n, -1, n)).embed()
 
 
 @pytest.mark.parametrize("rep", small_reps(), ids=lambda r: r.spec_string())
@@ -1163,18 +1164,18 @@ def test_reduce_matrix_examples():
     n = rep.n
     # identity: the representative is the identity coset and the reconstructed
     # value is exactly W(1) = 1.
-    g = Mat2.from_rationals(3, [1, 0, 0, 1], 12)
+    g = Mat2.from_rationals(3, [1, 0, 0, 1])
     psi_ph, om_ph, r = reduce_matrix(rep, g)
     assert r == Representative(-2 * n, n, 1)
     val = psi_ph.embed() * om_ph.embed() * whittaker_value(rep, r, direct=True)
     assert abs(val - 1) < TOL
     # the Weyl element lands in the (0,0,1) coset with trivial phases
-    g = Mat2.from_rationals(3, [0, 1, -1, 0], 12)
+    g = Mat2.from_rationals(3, [0, 1, -1, 0])
     psi_ph, om_ph, r = reduce_matrix(rep, g)
     assert r == Representative(0, 0, 1)
     assert psi_ph == RootOfUnity(0, 1) and om_ph == RootOfUnity(0, 1)
     # integral unipotent absorbs into the level subgroup
-    g = Mat2.from_rationals(3, [1, 7, 0, 1], 12)
+    g = Mat2.from_rationals(3, [1, 7, 0, 1])
     psi_ph, om_ph, r = reduce_matrix(rep, g)
     assert r == Representative(-2 * n, n, 1)
     val = psi_ph.embed() * om_ph.embed() * whittaker_value(rep, r, direct=True)
@@ -1204,7 +1205,6 @@ def test_reduce_matrix_roundtrip_random():
             p,
             [a_ * ka + b_ * kc, a_ * kb + b_ * kd,
              c_ * ka + d_ * kc, c_ * kb + d_ * kd],
-            18,
         )
         psi_ph, om_ph, r2 = reduce_matrix(rep, g)
         lhs = psi_ph.embed() * om_ph.embed() * whittaker_value(rep, r2, direct=True)
@@ -1215,12 +1215,81 @@ def test_reduce_matrix_roundtrip_random():
 
 
 def test_decompose_matrix_rejects_singular():
-    # An exactly singular matrix is indistinguishable from one whose
-    # determinant sits below the working precision; either error is correct.
-    from padwhit.padics import PrecisionError
+    # Entries are exact, so a zero determinant is decided, never guessed.
+    with pytest.raises(ValueError):
+        decompose_matrix(Mat2.from_rationals(3, [1, 1, 1, 1]), 1)
 
-    with pytest.raises((ValueError, PrecisionError)):
-        decompose_matrix(Mat2.from_rationals(3, [1, 1, 1, 1], 8), 1)
+
+def test_from_rationals_reads_entries_exactly():
+    g = Mat2.from_rationals(3, [0.5, 2, Fraction(1, 9), -1])
+    assert (g.a, g.b, g.c, g.d) == (Fraction(1, 2), 2, Fraction(1, 9), -1)
+    assert Mat2.from_rationals(3, [1, 0, 0, 1], 30) == Mat2.from_rationals(3, [1, 0, 0, 1])
+    with pytest.raises(ValueError):
+        Mat2.from_rationals(3, [1, 0, 0, 1], 0)
+
+
+WEYL = (0, 1, -1, 0)
+
+
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _kappa(g: Mat2, n: int, weyl=WEYL):
+    """``(z(u) n(x) g(t,k,v))^-1 g`` in exact rationals, from the
+    decomposition of ``g``, with g(t,k,v) = diag(p^t, 1) w n(p^-k v)."""
+    p = g.p
+    u, x, r = decompose_matrix(g, n)
+    coset = _mul(_mul((Fraction(p) ** r.t, 0, 0, 1), weyl), (1, Fraction(p) ** -r.k * r.v, 0, 1))
+    a, b, c, d = _mul((u, u * x, 0, u), coset)
+    det = a * d - b * c
+    return _mul((d / det, -b / det, -c / det, a / det), (g.a, g.b, g.c, g.d))
+
+
+def _in_level_subgroup(kappa, p: int, n: int) -> bool:
+    """Z_p entries, unit determinant, c in p^n Z_p and a = 1 mod p^n."""
+    def val(x):
+        return math.inf if x == 0 else split_rational(p, x)[0]
+    a, b, c, d = kappa
+    return (min(map(val, kappa)) >= 0 and val(a * d - b * c) == 0
+            and val(c) >= n and val(a - 1) >= n)
+
+
+def _random_matrices(rng, p: int, count: int):
+    """Invertible matrices with entries 0 (one in ten) or ``p^e * unit``,
+    e in [-2, 2], the unit in (-p^6, p^6)."""
+    def entry():
+        if rng.random() < 0.1:
+            return 0
+        while (u := rng.randrange(1 - p**6, p**6)) % p == 0:
+            pass
+        return Fraction(p) ** rng.randint(-2, 2) * u
+
+    out = []
+    while len(out) < count:
+        a, b, c, d = (entry() for _ in range(4))
+        if a * d != b * c:
+            out.append(Mat2.from_rationals(p, [a, b, c, d]))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 4), (5, 3)])
+def test_decompose_matrix_kappa_in_level_subgroup(p, n):
+    mats = _random_matrices(random.Random(f"kappa/{p}/{n}"), p, 2500)
+    assert any(split_rational(p, x)[0] < 0 for g in mats for x in (g.a, g.b, g.c, g.d) if x)
+    assert all(_in_level_subgroup(_kappa(g, n), p, n) for g in mats)
+    # A planted wrong Weyl sign turns kappa into -kappa, whose a = -1 mod p^n.
+    assert not any(_in_level_subgroup(_kappa(g, n, (0, -1, 1, 0)), p, n) for g in mats[:200])
+
+
+@pytest.mark.parametrize("e, K", [(20, 8), (40, 30)])
+def test_decompose_matrix_beyond_the_digit_count(e, K):
+    # Truncated to K digits these determinants read 0 mod 3^K.
+    g = Mat2.from_rationals(3, [1, 1, 1, 1 + 3**e], K)
+    for n in (2, 4):
+        assert _in_level_subgroup(_kappa(g, n), 3, n)
 
 
 def test_representative_domain_guards():

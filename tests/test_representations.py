@@ -10,7 +10,7 @@ from padwhit.characters import (
     epsilon_factor,
     make_character,
 )
-from padwhit.numerics import ONE, MINUS_ONE, RootOfUnity, approx_equal
+from padwhit.numerics import ONE, MINUS_ONE, RootOfUnity, approx_equal, get_precision, set_precision
 from padwhit.representations import (
     PrincipalSeries,
     SteinbergTwist,
@@ -186,17 +186,30 @@ def test_diagonal_conjugate_branch_matches_contragredient():
 
 
 def test_oracle_json_roundtrip(tmp_path):
+    old = get_precision()
+    try:
+        for bits in (53, 64, 128):
+            set_precision(bits)
+            sc = synthetic_oracle(5, 2, make_character(5, 1, [1]), seed=2)
+            path = tmp_path / f"oracle{bits}.json"
+            path.write_text(json.dumps(dump_oracle(sc)))
+            loaded = load_oracle(str(path))
+            assert loaded.n == sc.n and loaded.omega == sc.omega
+            assert loaded.twists == sc.twists, bits  # bit for bit
+    finally:
+        set_precision(old)
+
+
+def test_oracle_loads_float_files():
+    # Files written with eps as two JSON numbers still load.
     sc = synthetic_oracle(5, 2, make_character(5, 1, [1]), seed=2)
     doc = dump_oracle(sc)
-    path = tmp_path / "oracle.json"
-    path.write_text(json.dumps(doc))
-    loaded = load_oracle(str(path))
-    assert loaded.n == sc.n and loaded.omega == sc.omega
-    table = {m: (A, e) for m, A, e in sc.twists}
-    for mu, A, eps in loaded.twists:
-        want_A, want_eps = table[mu]
-        assert A == want_A
-        assert abs(eps - want_eps) < mpf("1e-12")  # float roundtrip
+    for entry in doc["twists"]:
+        entry["eps"] = [float(x) for x in entry["eps"]]
+    loaded = load_oracle(json.loads(json.dumps(doc)))
+    for (mu, A, eps), (mu2, A2, eps2) in zip(loaded.twists, sc.twists):
+        assert (mu, A) == (mu2, A2)
+        assert abs(eps - eps2) < mpf("1e-15")
 
 
 def test_oracle_validation_errors():
