@@ -202,6 +202,22 @@ def test_scan_default_bytes_golden(tmp_path, capsys):
     assert out.read_bytes() == GOLDEN.joinpath("scan_p235_n3.csv").read_bytes()
 
 
+def test_verify_manifest_golden(tmp_path, capsys):
+    # tests/golden/verify_p23_a2_n3.json is the manifest of
+    # "padwhit verify --suite all --p 2,3 --amax 2 --nmax 3"; any change to
+    # it must be deliberate.  The epsilon canary on the same arguments fails.
+    argv = ["verify", "--suite", "all", "--p", "2,3", "--amax", "2",
+            "--nmax", "3"]
+    out = tmp_path / "manifest.json"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == \
+        GOLDEN.joinpath("verify_p23_a2_n3.json").read_bytes()
+    code, _, _ = run_cli(capsys, *argv, "--perturb-eps", "1e-6",
+                         "--out", str(out))
+    assert code == 1
+
+
 def test_verify_cli_pass_and_canary(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, err = run_cli(
