@@ -1,9 +1,12 @@
 """Evaluating the normalized Whittaker newvector.
 
 Values live on the representative triples g(t, k, v) = diag(p^t, 1) w n(p^-k v)
-with 0 <= k <= n; columns above k = n/2 reduce to the contragredient through
-the generalized Atkin-Lehner relation, and arbitrary invertible matrices
-reduce to a triple plus explicit additive/central phases.
+with 0 <= k <= n.  Columns above k = n/2 reduce to the contragredient at level
+n - k through the generalized Atkin-Lehner relation; the contragredient's
+newvector is the conjugate one, W~(g(t,k,v)) = omega(-1) conj W(g(t,k,-v)),
+so those values are read from the newvector's own level n - k.  The demo
+checks the reduction against the contragredient built explicitly.  Arbitrary
+invertible matrices reduce to a triple plus explicit additive/central phases.
 """
 
 from fractions import Fraction
@@ -46,7 +49,8 @@ print(f"  W(g({r.t},{r.k},{r.v})) = {mp.nstr(whittaker_value(pi, r), 12)}")
 print()
 print("== Atkin-Lehner reduction of a high column ==")
 r = Representative(-5, 2, 1)
-phase, reduced, dual = atkin_lehner_reduce(pi, r)
+phase, reduced = atkin_lehner_reduce(pi, r)
+dual = pi.contragredient()
 lhs = whittaker_value(pi, r, direct=True)
 rhs = phase * whittaker_value(dual, reduced)
 print(f"  W(g({r.t},{r.k},{r.v})) = {mp.nstr(lhs, 10)}")

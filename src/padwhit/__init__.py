@@ -61,7 +61,6 @@ from .engine import (
     atkin_lehner_reduce,
     coefficient_table,
     conjugate_value,
-    contragredient_of,
     decompose_matrix,
     lambda_sq_sum,
     lower_bound_witness,

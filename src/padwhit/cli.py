@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -141,6 +142,8 @@ def _sort_key(rep: Representation):
 def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     reps: list[Representation] = []
     for p in args.p:
         reps.extend(standard_family(p, args.nmax, args.family))

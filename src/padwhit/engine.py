@@ -14,12 +14,12 @@ part cancelling exactly against the matching dual Euler factor) and reads
 every coefficient off the partial fractions, a finite head plus a geometric
 tail in the Satake parameters.
 
-Columns with ``k > n/2`` are never solved directly in normal operation; point
-values there reduce to the contragredient at ``n - k`` through the
-generalized Atkin-Lehner relation.  The direct solve remains available behind
-``direct=True`` precisely so the reduction can be tested against it.
-:func:`sup_norm` needs neither: the newvector's own levels ``k <= n/2`` hold
-every modulus of ``W``.
+Columns with ``k > n/2`` are never solved directly in normal operation: the
+generalized Atkin-Lehner relation takes a point there to the contragredient
+at level ``n - k``, whose newvector is the complex conjugate one for unitary
+``pi``.  So values, the conjugate variant and :func:`sup_norm` read only the
+descriptor's own levels ``k <= n/2``.  The direct solve remains available
+behind ``direct=True`` precisely so the reduction can be tested against it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -57,7 +56,6 @@ from .representations import (
     PrincipalSeries,
     Representation,
     SupercuspidalOracle,
-    trivial_character,
 )
 
 log = logging.getLogger("padwhit")
@@ -310,15 +308,6 @@ def coefficient_table(rep: Representation, k: int,
     return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli)
 
 
-# Bounded like _dual, which wraps it, so that a long run of point values
-# above n/2 does not keep one dual per descriptor it has ever seen.  A
-# recomputed dual equals the evicted one, so it still finds its levels in
-# the level cache.
-@lru_cache(maxsize=1024)
-def contragredient_of(rep: Representation) -> Representation:
-    return rep.contragredient()
-
-
 class Level:
     """The columns of one level k, in :func:`characters_mod` order, indexed
     by ``t``.
@@ -364,12 +353,11 @@ def tables_for_level(rep: Representation, k: int) -> Level:
                   for mu in characters_mod(rep.p, k)), _window(rep))
 
 
-# The Atkin-Lehner data of a descriptor: its contragredient and the
-# contragredient's root number.
+# The contragredient's root number, the Atkin-Lehner phase's constant: for
+# GL(2), pi~ = pi (x) omega^-1, so eps(1/2, pi~) = eps(1/2, pi (x) omega^-1).
 @working_cache(maxsize=1024)
-def _dual(rep: Representation):
-    dual = contragredient_of(rep)
-    return dual, dual.twist_data(trivial_character(rep.p)).eps
+def _dual(rep: Representation) -> mpc:
+    return rep.twist_data(rep.omega.inverse()).eps
 
 
 def _validate_rep_triple(rep: Representation, r: Representative) -> None:
@@ -387,37 +375,42 @@ def whittaker_value(rep: Representation, r: Representative,
     when forced by ``direct``): the sum of ``c[t,k](mu) mu(v)`` over the
     characters live at ``t``, in column order, with ``mu(v)`` read from the
     cached character table.  Otherwise one Atkin-Lehner reduction to the
-    contragredient at level ``n - k``.
+    contragredient, read off the newvector's own level ``n - k`` as
+    ``W(g(t,k,v)) = phase omega(-1) conj W(g(t + 2k - n, n - k, v))``
+    (:func:`atkin_lehner_reduce`, :func:`conjugate_value`).
     """
     _validate_rep_triple(rep, r)
     n = rep.n
     if r.t < -r.k - n:
         return mpc(0)
-    if 2 * r.k <= n or direct:
-        p, k = rep.p, r.k
-        rows = character_table(p, k)[1]
-        j = unit_group(p, k).index(r.v)
-        total = mpc(0)
-        for i, c in tables_for_level(rep, k).live(r.t):
-            total += c * rows[i][j]
-        return total
-    phase, reduced, dual = atkin_lehner_reduce(rep, r)
-    return phase * whittaker_value(dual, reduced)
+    if 2 * r.k > n and not direct:
+        phase, reduced = atkin_lehner_reduce(rep, r)
+        return phase * conjugate_value(rep, reduced)
+    p, k = rep.p, r.k
+    rows = character_table(p, k)[1]
+    j = unit_group(p, k).index(r.v)
+    total = mpc(0)
+    for i, c in tables_for_level(rep, k).live(r.t):
+        total += c * rows[i][j]
+    return total
 
 
 def conjugate_value(rep: Representation, r: Representative) -> mpc:
     """Value of the opposite-invariance variant; equals the contragredient's
-    newvector on every representative."""
-    return whittaker_value(contragredient_of(rep), r)
+    newvector on every representative, ``omega(-1) conj W(g(t,k,-v))`` for
+    unitary ``pi``."""
+    w = whittaker_value(rep, Representative(r.t, r.k, -r.v)).conjugate()
+    return w if rep.omega.at_minus_one().is_one() else -w
 
 
 def atkin_lehner_reduce(rep: Representation, r: Representative):
     """Phase and reduced triple with
     ``W(r) = phase * W~(g(t + 2k - n, n - k, -v))`` for the contragredient
-    newvector W~; the phase has modulus 1."""
+    newvector W~; the phase has modulus 1.  Its constant is the
+    contragredient's root number, read off ``rep`` as
+    ``eps(1/2, pi (x) omega^-1)``."""
     _validate_rep_triple(rep, r)
     n, p = rep.n, rep.p
-    dual, eps_dual = _dual(rep)
     phase_root = rep.omega.eval_unit(r.v).inverse()
     s = r.t + r.k
     if s < 0:
@@ -426,7 +419,7 @@ def atkin_lehner_reduce(rep: Representation, r: Representative):
     k2 = n - r.k
     v2 = (-r.v) % (p ** max(k2, 1))
     reduced = Representative(r.t + 2 * r.k - n, k2, v2)
-    return eps_dual * phase_root.embed(), reduced, dual
+    return _dual(rep) * phase_root.embed(), reduced
 
 
 def _rounded_up(value: mpf, k: int) -> mpf:
@@ -530,8 +523,11 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     ``tolerance`` only guards consistency: a normalized newvector has
     ``|W(1)| = 1``, so ``h < 1 - tolerance`` raises ``RuntimeError``.  It
     does not enter ``certified``, which compares the tail bound with ``h``
-    by the fixed margin ``1e-12``.
+    by the fixed margin ``1e-12``.  A ``tolerance`` that is not a finite
+    number ``>= 0`` raises ``ValueError``.
     """
+    if not (mp.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     n, p = rep.n, rep.p
     t_max = _window(rep)
     h = mpf(-1)

@@ -393,23 +393,21 @@ def principal_series_family(p: int, a1_max: int, a2_max: int):
     """All principal series over X-tilde inducing characters (value 1 at p)
     with cond(chi1) <= a1_max, cond(chi2) <= a2_max, deduplicated up to the
     chi1 <-> chi2 symmetry, in deterministic order."""
+    return _principal_series(p, ((a1, a2) for a1 in range(1, a1_max + 1)
+                                 for a2 in range(min(a2_max, a1) + 1)))
+
+
+def _principal_series(p: int, pairs):
+    """The principal series with ``(cond(chi1), cond(chi2))`` running over
+    ``pairs`` (``a2 <= a1``), each pair in :func:`characters_mod` order, and
+    with chi2 not before chi1 when ``a1 = a2``."""
     out = []
-    chars_by_cond = {a: characters_mod(p, a) for a in range(max(a1_max, a2_max) + 1)}
-    for a1 in range(a1_max + 1):
-        pool1 = [c for c in chars_by_cond[a1] if c.conductor == a1]
-        for a2 in range(min(a2_max, a1) + 1):
-            pool2 = [c for c in chars_by_cond[a2] if c.conductor == a2]
-            for i, c1 in enumerate(pool1):
-                for j, c2 in enumerate(pool2):
-                    if a1 == a2 and j < i:
-                        continue
-                    if a1 + a2 == 0:
-                        continue
-                    out.append(
-                        PrincipalSeries(
-                            ExtendedCharacter(c1), ExtendedCharacter(c2)
-                        )
-                    )
+    for a1, a2 in pairs:
+        pool1 = [c for c in characters_mod(p, a1) if c.conductor == a1]
+        pool2 = [c for c in characters_mod(p, a2) if c.conductor == a2]
+        for i, c1 in enumerate(pool1):
+            for c2 in pool2[i if a1 == a2 else 0:]:
+                out.append(PrincipalSeries(ExtendedCharacter(c1), ExtendedCharacter(c2)))
     return out
 
 
@@ -432,14 +430,12 @@ def standard_family(p: int, nmax: int, kinds: str = "all"):
     """
     out = []
     if kinds in ("ps", "all"):
-        for a1 in range(1, nmax + 1):
-            for rep in principal_series_family(p, a1, min(a1, nmax - a1)):
-                if rep.chi1.conductor == a1 and rep.n <= nmax:
-                    out.append(rep)
-    if kinds in ("steinberg", "all"):
-        for rep in steinberg_family(p, nmax // 2):
-            if rep.n <= nmax:
-                out.append(rep)
+        out.extend(_principal_series(
+            p, ((a1, a2) for a1 in range(1, nmax + 1)
+                for a2 in range(min(a1, nmax - a1) + 1))))
+    if kinds in ("steinberg", "all") and nmax >= 1:
+        # Every Steinberg twist has n >= 1; the rest have n = 2 cond(xi).
+        out.extend(steinberg_family(p, nmax // 2))
     return out
 
 

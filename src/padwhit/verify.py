@@ -39,7 +39,6 @@ from .engine import (
     Representative,
     atkin_lehner_reduce,
     coefficient_table,
-    contragredient_of,
     conjugate_value,
     lambda_sq_sum,
     lower_bound_witness,
@@ -317,8 +316,9 @@ def check_atkin_lehner(rep: Representation, count: int = 100,
         rep.spec_string(),
         tolerance=TOL_SOLVER,
     )
+    dual = rep.contragredient()
     for r in _random_triples(rep, count, seed):
-        phase, reduced, dual = atkin_lehner_reduce(rep, r)
+        phase, reduced = atkin_lehner_reduce(rep, r)
         report.record(abs(abs(phase) - 1), f"|phase| at {r}")
         lhs = whittaker_value(rep, r, direct=True)
         rhs = phase * whittaker_value(dual, reduced, direct=True)
@@ -348,7 +348,7 @@ def check_dual_tables(rep: Representation) -> CheckReport:
         rep.spec_string(),
         tolerance=TOL_SOLVER,
     )
-    dual = contragredient_of(rep)
+    dual = rep.contragredient()
     sign = rep.omega.at_minus_one()
     for k in range(rep.n // 2 + 1):
         chars = characters_mod(rep.p, k)
@@ -378,7 +378,7 @@ def check_diagonal_and_reduction(rep: Representation, seed: int = 29) -> CheckRe
         tolerance=TOL_SOLVER,
     )
     n, p = rep.n, rep.p
-    dual = contragredient_of(rep)
+    dual = rep.contragredient()
     units = unit_group(p, max(rep.m, 1)).units()
     for t in range(-2, 4):
         for v in units[:4]:
@@ -500,7 +500,7 @@ def check_parseval(rep: Representation, seed: int = 11) -> CheckReport:
         report.record(dev, f"norm window k={k} sum={mp.nstr(total, 12)}")
     # Level symmetry of the norms under dualizing; the two truncation windows
     # differ, so the comparison is only meaningful up to both tails.
-    dual = contragredient_of(rep)
+    dual = rep.contragredient()
     for k in range(n // 2 + 1):
         a, tail_a = lambda_sq_sum(rep, k)
         b, tail_b = lambda_sq_sum(dual, n - k)

@@ -180,6 +180,25 @@ def test_scan_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-1e-9"])
+def test_scan_refuses_invalid_tolerance(tmp_path, capsys, monkeypatch,
+                                        tolerance):
+    # Refused before any row: NaN and inf would switch the consistency
+    # guard off, a negative value would fail every row.
+    import padwhit.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(padwhit.cli, "sup_norm", refuse)
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, "scan", "--p", "3", "--nmax", "1",
+                           f"--tolerance={tolerance}", "--out", str(out))
+    assert code == 2
+    assert "--tolerance must be finite and >= 0" in err
+    assert not out.exists()
+
+
 def test_precision_below_53_bits_is_a_usage_error(capsys):
     prec = mp.prec
     code, out, err = run_cli(

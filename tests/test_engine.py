@@ -20,7 +20,6 @@ from padwhit.engine import (
     atkin_lehner_reduce,
     coefficient_table,
     conjugate_value,
-    contragredient_of,
     decompose_matrix,
     lambda_sq_sum,
     lower_bound_witness,
@@ -43,6 +42,7 @@ from padwhit.padics import PAdicApprox, psi_eval, split_rational, unit_group
 from padwhit.representations import (
     PrincipalSeries,
     SteinbergTwist,
+    SupercuspidalOracle,
     TwistData,
     parse_rep,
     standard_family,
@@ -168,7 +168,8 @@ def _random_triples(rep, count, seed):
 @pytest.mark.parametrize("rep", small_reps(), ids=lambda r: r.spec_string())
 def test_atkin_lehner_phase_identity(rep):
     for r in _random_triples(rep, 40, seed=13):
-        phase, reduced, dual = atkin_lehner_reduce(rep, r)
+        phase, reduced = atkin_lehner_reduce(rep, r)
+        dual = rep.contragredient()
         assert abs(abs(phase) - 1) < TOL
         lhs = whittaker_value(rep, r, direct=True)
         rhs = phase * whittaker_value(dual, reduced, direct=True)
@@ -334,7 +335,7 @@ def _lambda(rep, t, k):
 
 def test_lambda_level_symmetry():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
-    dual = contragredient_of(rep)
+    dual = rep.contragredient()
     n = rep.n
     for k in range(n // 2 + 1):
         for t in range(-k - n, 4):
@@ -421,8 +422,7 @@ def test_level_solves_make_no_character_products(monkeypatch):
     # Central characters are products; they are built once per descriptor,
     # before any level, as are the character lists the twists index.
     for rep in family:
-        for fam in (rep, contragredient_of(rep)):
-            assert fam.omega.p == rep.p
+        assert rep.omega.p == rep.p
     for p, nmax in ((2, 6), (3, 4), (5, 3)):
         for k in range(nmax + 1):
             characters_mod(p, k)
@@ -578,25 +578,56 @@ def test_canary_moves_exact_columns_and_leaves_no_trace():
     assert whittaker_value(rep, r) == plain
 
 
-def test_contragredient_cache_is_bounded_and_duals_still_hit_the_level_cache():
-    bound = contragredient_of.cache_info().maxsize
-    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
-    dual = contragredient_of(rep)
-    level = tables_for_level(dual, 1)
-    chars = characters_mod(7, 2)
-    flood = [PrincipalSeries(ExtendedCharacter(a), ExtendedCharacter(b))
-             for a in chars for b in chars if a.conductor or b.conductor]
-    assert len(flood) > bound
-    for other in flood:
-        contragredient_of(other)
-    assert contragredient_of.cache_info().currsize == bound
-    misses = contragredient_of.cache_info().misses
-    hits = engine.tables_for_level.cache_info().hits
-    again = contragredient_of(rep)  # evicted, so built anew
-    assert contragredient_of.cache_info().misses == misses + 1
-    assert again == dual
-    assert tables_for_level(again, 1) is level
-    assert engine.tables_for_level.cache_info().hits == hits + 1
+def _oracles_with_ramified_centre():
+    oracles = []
+    for p, n, m in ((2, 4, 2), (3, 2, 1), (3, 4, 2), (5, 3, 1)):
+        omega = next(mu for mu in characters_mod(p, m) if mu.conductor == m)
+        oracles.append(synthetic_oracle(p, n, omega, seed=5))
+    return oracles
+
+
+def test_default_routes_build_no_contragredient(monkeypatch):
+    # Values at every level, the conjugate variant, matrices and sup_norm
+    # read only the newvector's own levels k <= n/2.
+    def refuse(*args):
+        raise AssertionError("a default route built the contragredient")
+
+    read = []
+    tables = engine.tables_for_level
+
+    def record(rep, k):
+        read.append((rep, k))
+        return tables(rep, k)
+
+    for cls in (PrincipalSeries, SteinbergTwist, SupercuspidalOracle):
+        monkeypatch.setattr(cls, "contragredient", refuse)
+    monkeypatch.setattr(engine, "tables_for_level", record)
+    family = (standard_family(2, 5) + standard_family(3, 4)
+              + standard_family(5, 3) + _oracles_with_ramified_centre())
+    rng = random.Random(19)
+    for rep in family:
+        n, p = rep.n, rep.p
+        window = engine._window(rep)
+        read.clear()
+        for k in range(n + 1):
+            units = unit_group(p, max(min(k, n - k), 1)).units()
+            # Below the support, inside the window, at its edge and past it.
+            for t in (-k - n - 1, -k - n, rng.randint(-k - n, n), window,
+                      window + 1, window + rng.randint(2, 9)):
+                r = Representative(t, k, rng.choice(units))
+                whittaker_value(rep, r)
+                conjugate_value(rep, r)
+        for _ in range(6):
+            entries = [Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2))
+                       for _ in range(4)]
+            if entries[0] * entries[3] == entries[1] * entries[2]:
+                continue
+            _, _, r = reduce_matrix(rep, Mat2.from_rationals(p, entries))
+            whittaker_value(rep, r)
+        sup_norm(rep)
+        spec = rep.spec_string()
+        assert {k for _, k in read} == set(range(n // 2 + 1)), spec
+        assert all(fam is rep for fam, _ in read), spec
 
 
 def test_engine_never_reaches_the_brute_force_gauss_sum(monkeypatch):
@@ -619,11 +650,10 @@ def test_engine_never_reaches_the_brute_force_gauss_sum(monkeypatch):
 
 
 def _per_column_atkin_lehner(rep, r):
-    """atkin_lehner_reduce as it was before its cache: the contragredient's
-    root number rebuilt on every call."""
+    """atkin_lehner_reduce as it was before its cache: the root number
+    rebuilt on every call, read off the contragredient itself."""
     n, p = rep.n, rep.p
-    dual = contragredient_of(rep)
-    eps_dual = dual.twist_data(trivial_character(p)).eps
+    eps_dual = rep.contragredient().twist_data(trivial_character(p)).eps
     phase_root = rep.omega.eval_unit(r.v).inverse()
     s = r.t + r.k
     if s < 0:
@@ -631,13 +661,14 @@ def _per_column_atkin_lehner(rep, r):
         phase_root = phase_root * RootOfUnity(-pow(r.v, -1, mod), mod)
     k2 = n - r.k
     reduced = Representative(r.t + 2 * r.k - n, k2, (-r.v) % (p ** max(k2, 1)))
-    return eps_dual * phase_root.embed(), reduced, dual
+    return eps_dual * phase_root.embed(), reduced
 
 
 def _per_column_value(rep, r, direct=False):
     """whittaker_value as it was before the level index: every column of the
     level visited, its value at t tested against 0, its character evaluated
-    at v."""
+    at v.  Above n/2, the contragredient newvector at the reduced triple is
+    ``omega(-1) conj W(g(t', k', -v'))``."""
     n = rep.n
     if r.t < -r.k - n:
         return mpc(0)
@@ -648,8 +679,22 @@ def _per_column_value(rep, r, direct=False):
             if c != 0:
                 total += c * tab.mu.eval_unit(r.v).embed()
         return total
-    phase, reduced, dual = _per_column_atkin_lehner(rep, r)
-    return phase * _per_column_value(dual, reduced)
+    phase, reduced = _per_column_atkin_lehner(rep, r)
+    w = _per_column_value(
+        rep, Representative(reduced.t, reduced.k, -reduced.v)).conjugate()
+    return phase * (w if rep.omega.at_minus_one().is_one() else -w)
+
+
+def _dual_route_value(rep, r):
+    """The value above n/2 synthesized from the contragredient's own level
+    ``n - k``, as the engine read it before the conjugation identity."""
+    phase, reduced = _per_column_atkin_lehner(rep, r)
+    return phase * _per_column_value(rep.contragredient(), reduced)
+
+
+def _within_route_ulps(x, y):
+    """``|x - y| <= 2^16`` units in the last place times ``max(1, |y|)``."""
+    return abs(x - y) <= mpf(2) ** (16 - mp.prec) * max(1, abs(y))
 
 
 @pytest.mark.parametrize("bits", [53, 64, 128])
@@ -671,12 +716,17 @@ def test_whittaker_value_matches_per_column_loop(bits):
                     r = Representative(t, k, rng.choice(unit_group(p, kn).units())
                                        + rng.randint(0, 2) * p**n)
                     spec = (rep.spec_string(), r)
-                    assert whittaker_value(rep, r) == _per_column_value(rep, r), spec
+                    value = whittaker_value(rep, r)
+                    assert value == _per_column_value(rep, r), spec
                     if 2 * k > n:
+                        assert _within_route_ulps(value, _dual_route_value(rep, r)), spec
                         assert (whittaker_value(rep, r, direct=True)
                                 == _per_column_value(rep, r, direct=True)), spec
                         assert atkin_lehner_reduce(rep, r) == \
                             _per_column_atkin_lehner(rep, r), spec
+                        with perturb_epsilon(1e-6):
+                            assert atkin_lehner_reduce(rep, r) == \
+                                _per_column_atkin_lehner(rep, r), spec
     finally:
         set_precision(old)
 
@@ -831,6 +881,15 @@ def test_columns_match_the_recurrence():
     assert monomial > 1000
 
 
+@pytest.mark.parametrize("tolerance", [mpf("nan"), mpf("inf"), -mpf("inf"),
+                                       mpf(-1), float("nan"), -1e-9])
+def test_sup_norm_refuses_invalid_tolerance(tolerance):
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        sup_norm(rep, tolerance=tolerance)
+    assert sup_norm(rep, tolerance=0).certified
+
+
 def test_sup_norm_deterministic_witness():
     rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
     r1 = sup_norm(rep)
@@ -939,7 +998,7 @@ def test_sup_norm_matches_the_scan_of_both_families(bits):
         set_precision(bits)
         for rep in SCREEN_FAMILY:
             got = sup_norm(rep)
-            dual = contragredient_of(rep)
+            dual = rep.contragredient()
             h, witness, certified, tail = _exhaustive_sup_norm_oracle(
                 rep, (rep, dual))
             spec = rep.spec_string()
@@ -963,7 +1022,8 @@ def test_sup_norm_solves_only_the_newvector_levels(monkeypatch):
         solved.append((rep, k))
         return tables(rep, k)
 
-    monkeypatch.setattr(engine, "contragredient_of", refuse)
+    for cls in (PrincipalSeries, SteinbergTwist, SupercuspidalOracle):
+        monkeypatch.setattr(cls, "contragredient", refuse)
     monkeypatch.setattr(engine, "_dual", refuse)
     monkeypatch.setattr(engine, "tables_for_level", record)
     family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
