@@ -48,7 +48,8 @@ print(f"  W(g({r.t},{r.k},{r.v})) = {mp.nstr(whittaker_value(pi, r), 12)}")
 
 print()
 print("== Atkin-Lehner reduction of a high column ==")
-r = Representative(-5, 2, 1)
+# Level k = 2 > n/2 holds |W| = 3^(-1/2) at t = -3 for every unit v.
+r = Representative(-3, 2, 2)
 phase, reduced = atkin_lehner_reduce(pi, r)
 dual = pi.contragredient()
 lhs = whittaker_value(pi, r, direct=True)
@@ -59,7 +60,7 @@ print(f"  |phase| = {mp.nstr(abs(phase), 10)}")
 
 print()
 print("== reducing a raw matrix ==")
-g = Mat2.from_rationals(p, [Fraction(7, 3), 2, 9, Fraction(1, 2)])
+g = Mat2.from_rationals(p, [Fraction(7, 3), 2, 1, Fraction(1, 2)])
 psi_ph, omega_ph, rep_triple = reduce_matrix(pi, g)
 value = psi_ph.embed() * omega_ph.embed() * whittaker_value(pi, rep_triple)
 print(f"  g reduces to {rep_triple} with phases psi = {psi_ph}, "

@@ -213,6 +213,49 @@ def twisted(chi: UnitCharacter, mu: UnitCharacter) -> UnitCharacter:
     return characters_mod(chi.p, level)[j]
 
 
+@lru_cache(maxsize=None)
+def level_constants(p: int, level: int):
+    """``(cond, eps, N)`` over ``characters_mod(p, level)``: the conductors,
+    and the epsilon factors as exact roots ``e(eps[j] / N)``, with
+    ``eps[j] = -1`` at conductor 1, where :func:`epsilon_root` has none."""
+    chars = characters_mod(p, level)
+    roots = [epsilon_root(mu) for mu in chars]
+    n = math.lcm(*(r.order for r in roots if r is not None))
+    eps = [-1 if r is None else r.num * (n // r.order) for r in roots]
+    cond = [mu.conductor for mu in chars]
+    return np.array(cond, dtype=np.int64), np.array(eps, dtype=np.int64), n
+
+
+@lru_cache(maxsize=None)
+def _lifted_grid(p: int, k: int, level: int):
+    """The exponent vectors of ``characters_mod(p, k)`` lifted to ``level``,
+    the generator orders there and their mixed-radix weights."""
+    orders = [order for _, order in unit_group(p, level).generators]
+    exps = [_lifted_exps(mu, level) for mu in characters_mod(p, k)]
+    radix = [math.prod(orders[g + 1:]) for g in range(len(orders))]
+    return (np.array(exps, dtype=np.int64).reshape(len(exps), len(orders)),
+            np.array(orders, dtype=np.int64), np.array(radix, dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def twist_table(chi: "ExtendedCharacter", k: int) -> tuple:
+    """``(level, index, cond, root, order)`` for the twists of ``chi`` by
+    every ``mu_i`` of ``characters_mod(p, k)``, each found as :func:`twisted`
+    finds one, by the mixed-radix sum of the exponents lifted to ``level =
+    max(cond chi, k)``: ``chi mu_i`` has the unit part
+    ``characters_mod(p, level)[index[i]]``, conductor ``cond[i]`` and
+    epsilon factor ``e(root[i] / order)``, read off
+    :func:`level_constants`; ``root[i]`` is -1 at conductor 1."""
+    pi, level = chi.pi_value, max(chi.conductor, k)
+    exps, orders, radix = _lifted_grid(chi.p, k, level)
+    index = (exps + np.array(_lifted_exps(chi.unit_part, level), dtype=np.int64)) % orders @ radix
+    cond, eps, n = level_constants(chi.p, level)
+    cond, eps, order = cond[index], eps[index], math.lcm(n, pi.order)
+    # ExtendedCharacter.epsilon_root: chi(p)^cond times the unit part's.
+    root = (eps * (order // n) + cond * (pi.num * (order // pi.order))) % order
+    return level, index.tolist(), cond.tolist(), np.where(eps < 0, -1, root).tolist(), order
+
+
 def character_phases(p: int, k: int):
     """``(n, index)``: ``characters_mod(p, k)[i]`` takes the value
     ``e(index[i, j] / n)`` at ``unit_group(p, k).units()[j]``."""

@@ -12,7 +12,12 @@ over at most two linear Euler factors.  The solver builds that function in
 closed form (the diagonal data is finite plus geometric, with the geometric
 part cancelling exactly against the matching dual Euler factor) and reads
 every coefficient off the partial fractions, a finite head plus a geometric
-tail in the Satake parameters.
+tail in the Satake parameters.  Most columns of a principal series or a
+Steinberg twist have no Satake root; each is one exact term, and a level
+reads all of them at once from integer arrays over its characters
+(:func:`_level_columns`).  Coefficients are embedded at working precision
+only where something reads them, and the complex128 screen of
+:func:`sup_norm` reads monomials from their exact data.
 
 Columns with ``k > n/2`` are never solved directly in normal operation: the
 generalized Atkin-Lehner relation takes a point there to the contragredient
@@ -28,17 +33,22 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .characters import (
+    ExtendedCharacter,
     UnitCharacter,
     character_table,
     characters_mod,
     critical_unit,
     epsilon_factor,
     epsilon_root,
+    format_char,
+    level_constants,
+    twist_table,
     zeta1,
     zeta1_q_power,
 )
@@ -46,16 +56,19 @@ from .numerics import (
     ONE,
     RootOfUnity,
     ScaledRoot,
+    _scaled_embed,
     expand_geometric,
     perturbed,
     q_power,
     working_cache,
+    working_state,
 )
 from .padics import PAdicApprox, psi_eval, split_rational, unit_group
 from .representations import (
     PrincipalSeries,
     Representation,
     SupercuspidalOracle,
+    TwistData,
 )
 
 log = logging.getLogger("padwhit")
@@ -107,39 +120,107 @@ class CoefficientTable:
     ``sum (b0 + b1 d) w^d`` with ``d = t + A`` (:func:`_closed_form`).
 
     ``moduli``, when not None, is ``(d_lo, K, sigma, tau)`` with
-    ``|c[t]| = K q^(-(sigma d + tau)/2)`` for every ``d >= d_lo``: a
-    monomial column whose head is exact, or one simple partial fraction."""
+    ``|c[t]| = K q^(-(sigma d + tau)/2)`` for every ``d >= d_lo``: one simple
+    partial fraction.
 
-    __slots__ = ("k", "mu", "A", "coeffs", "tail", "parts", "moduli")
+    Coefficients are embedded on first use, by the operations :func:`_solve`
+    would use, and kept; ``state``, the precision and epsilon canary the
+    column was solved under, is the only one they embed under.  A column
+    with no Euler factor left has a ``head`` ``(t, scalar, num, order, s, e,
+    approx)``: its one coefficient is ``c[t] = scalar e(num/order)
+    q^(-(s + e)/2)``, times ``approx``, the numeric epsilon factors
+    (conductor 1, or an oracle's), where there are any.  A simple partial
+    fraction ``b0 w^d``, ``b0 != 0``, leaves a ``fill`` ``(d, d_hi, x)``:
+    the degrees ``d..d_hi``, all nonzero, each the one before times ``w`` as
+    :func:`_closed_form` runs them (``x`` the next, None at first), stored
+    only as far as they are read."""
 
-    def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict,
-                 tail: TailBound, parts: tuple, moduli: tuple | None = None):
-        self.k = k
-        self.mu = mu
-        self.A = A
-        self.coeffs = coeffs
-        self.tail = tail
-        self.parts = parts
-        self.moduli = moduli
+    __slots__ = ("k", "mu", "A", "_coeffs", "tail", "parts", "moduli", "head",
+                 "fill", "state")
+
+    def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict | None,
+                 tail: TailBound, parts: tuple, moduli: tuple | None = None,
+                 head: tuple | None = None, fill: tuple | None = None):
+        self.k, self.mu, self.A, self._coeffs = k, mu, A, coeffs
+        self.tail, self.parts, self.moduli = tail, parts, moduli
+        self.head, self.fill = head, fill
+        self.state = working_state() if head or fill else None
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None or self.fill:
+            self._embed(self.tail.d_from)
+        return self._coeffs
+
+    def coeff(self, t: int) -> mpc:
+        """The stored coefficient at ``t``, 0 if none, embedded alone."""
+        if self._coeffs is None or (self.fill and t + self.A >= self.fill[0]):
+            self._embed(t + self.A)
+        return self._coeffs.get(t, mpc(0))
+
+    def _checked(self):
+        if self.state != working_state():
+            raise RuntimeError(
+                f"column {format_char(self.mu)} at k={self.k} was solved at another "
+                "precision or epsilon canary; solve it again under this one")
+        return self.head
+
+    def _embed(self, d_to: int) -> None:
+        """The head's coefficient, or the fill up to degree ``d_to``."""
+        if self._coeffs is None:
+            t, scalar, num, order, s, e, approx = self._checked()
+            q = self.tail.q
+            if approx is None:
+                self._coeffs = {t: scalar * _scaled_embed(num, order, q, s + e)}
+            else:
+                self._coeffs = {t: scalar * _scaled_embed(num, order, q, s)
+                                * approx * q_power(q, e)}
+            return
+        self._checked()
+        (d, d_hi, x), (b0, _, w) = self.fill, self.parts[0]
+        x = (w**d).embed() * b0 if x is None else x
+        step = w.embed()
+        while d <= min(d_to, d_hi):
+            self._coeffs[d - self.A] = x
+            x, d = x * step, d + 1
+        self.fill = (d, d_hi, x) if d <= d_hi else None
+
+    def support(self) -> list:
+        """The ``t`` of the nonzero coefficients, read without embedding."""
+        if self._coeffs is None:
+            return [self.head[0]]
+        live = [t for t, c in self._coeffs.items() if c]
+        if self.fill:
+            live.extend(range(self.fill[0] - self.A, self.fill[1] - self.A + 1))
+        return live
 
     def value(self, t: int) -> mpc:
-        d = t + self.A
-        if not self.parts or d <= self.tail.d_from:
-            return self.coeffs.get(t, mpc(0))
-        return _closed_form(self.parts, d, d)[0]
+        if self.parts and t + self.A > self.tail.d_from:
+            return _closed_form(self.parts, t + self.A, t + self.A)[0]
+        return self.coeff(t)
 
-    def modulus(self, t: int, c: mpc) -> mpf:
-        """``|c|`` for the coefficient ``c`` at ``t``: read off ``moduli``
-        where they cover ``t``, else ``abs(c)``."""
-        if self.moduli is not None:
-            d_lo, K, sigma, tau = self.moduli
-            d = t + self.A
-            if d >= d_lo:
-                return K * q_power(self.tail.q, sigma * d + tau)
-        return abs(c)
+    def modulus(self, t: int) -> mpf:
+        """``|c[t]|``: exact for a head without ``approx``, read off
+        ``moduli`` where they cover ``t``, else ``abs(coeff(t))``."""
+        if self.head and self.head[6] is None:
+            _, scalar, _, _, s, e, _ = self._checked()
+            return abs(scalar) * q_power(self.tail.q, s + e)
+        if self.moduli is not None and t + self.A >= self.moduli[0]:
+            _, K, sigma, tau = self.moduli
+            return K * q_power(self.tail.q, sigma * (t + self.A) + tau)
+        return abs(self.coeff(t))
+
+    def complex128(self, t: int) -> complex:
+        """``c[t]`` in complex128, for :func:`_screen`: for a head without
+        ``approx``, its embedded root and q-power times its float rational,
+        so nothing is embedded; else ``complex(coeff(t))``."""
+        if self.head and self.head[6] is None:
+            _, scalar, num, order, s, e, _ = self._checked()
+            return complex(_scaled_embed(num, order, self.tail.q, s + e)) * float(scalar)
+        return complex(self.coeff(t))
 
     def __repr__(self):
-        return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.coeffs)} coeffs)"
+        return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.support())} coeffs)"
 
 
 def _closed_form(parts, d_lo: int, d_hi: int) -> list:
@@ -177,6 +258,7 @@ def _rational(num: int, den: int) -> mpf:
 _ZERO = mpf(0)
 
 
+@lru_cache(maxsize=None)
 def _no_tail(d_from: int, A: int, p: int) -> TailBound:
     """The tail bound of a column with no Satake root left: zero."""
     return TailBound(_ZERO, _ZERO, _ZERO, d_from, A, p)
@@ -184,10 +266,28 @@ def _no_tail(d_from: int, A: int, p: int) -> TailBound:
 
 def coefficient_table(rep: Representation, k: int,
                       mu: UnitCharacter) -> CoefficientTable:
+    """The column (k, mu).  Columns with cond(mu) > k are identically zero
+    and come back empty.  A column of a principal series or Steinberg twist
+    with no Satake root is read from its level's exact arrays
+    (:func:`_level_columns`), by the code that builds the level; the others
+    are solved by :func:`_solve`."""
+    if not 0 <= k <= rep.n:
+        raise ValueError(f"level k={k} outside [0, {rep.n}]")
+    if mu.conductor > k:
+        return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, rep.p), ())
+    if not isinstance(rep, SupercuspidalOracle):
+        i = characters_mod(rep.p, k).index(mu)
+        column = _level_columns(rep, k, (i,)).get(i)
+        if column is not None:
+            return column
+    return _solve(rep, k, mu, rep.twist_data(mu))
+
+
+def _solve(rep: Representation, k: int, mu: UnitCharacter,
+           td: TwistData) -> CoefficientTable:
     """Solve the functional-equation identity for the column (k, mu), from
-    the twist data of ``rep`` and its exact diagonal ratio (None for a
-    diagonal supported at t = 0).  Columns with cond(mu) > k are identically
-    zero and come back empty.
+    the twist data ``td`` of ``rep`` and its exact diagonal ratio (None for a
+    diagonal supported at t = 0).
 
     The generating function of ``d -> c[d - A, k](mu) q^(d/2)`` is
     ``C X^e prod_j (1 - c_j X^-1) / prod_i (1 - a_i X)``: the ``c_j`` are the
@@ -198,18 +298,11 @@ def coefficient_table(rep: Representation, k: int,
     ``C`` is kept as ``num/den`` times an exact :class:`ScaledRoot` times a
     numeric factor, which is there only when ``mu`` or the twist has an
     epsilon factor that is not a root of unity (conductor 1, or an oracle
-    table).  Otherwise ``C`` has no complex division, and a monomial column
-    (no dual factor left, no Satake root) is its rational times one exact
-    root, embedded once.  :func:`perturb_epsilon` scales the rational by
-    ``(1 + delta)`` per exact ramified epsilon factor in the numerator and
-    by ``(1 + delta)^-1`` per one in the denominator.
+    table).  :func:`perturb_epsilon` scales the rational by ``(1 + delta)``
+    per exact ramified epsilon factor in the numerator and by
+    ``(1 + delta)^-1`` per one in the denominator.
     """
-    if not 0 <= k <= rep.n:
-        raise ValueError(f"level k={k} outside [0, {rep.n}]")
     p = rep.p
-    if mu.conductor > k:
-        return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, p), ())
-    td = rep.twist_data(mu)
     ratio = rep.diagonal_ratio()
     duals = [g.shift(2) for g in td.l_den]
     approx = None
@@ -269,12 +362,10 @@ def coefficient_table(rep: Representation, k: int,
     scalar = perturbed(_rational(num, den), ramified)
     A = td.A
     d_last = _window(rep) + A
-    if not duals and not roots and approx is None:
-        # theta_e q^(-e/2), the whole column, is exact up to its rational.
-        c = scalar * root.shift(e).embed()
-        return CoefficientTable(k, mu, A, {e - A: c}, _no_tail(d_last, A, p), (),
-                                (e, abs(scalar), 1, root.s))
-
+    if not duals and not roots:
+        # No Euler factor left: theta_e q^(-e/2) is the whole column.
+        head = (e - A, scalar, root.root.num, root.root.order, root.s, e, approx)
+        return CoefficientTable(k, mu, A, None, _no_tail(d_last, A, p), (), None, head)
     coeff = scalar * root.embed()
     if approx is not None:
         coeff *= approx
@@ -288,15 +379,17 @@ def coefficient_table(rep: Representation, k: int,
     coeffs = {d - A: c * q_power(p, d) for d, c in head.items()}
     # Past the head, theta_d q^(-d/2) = sum (b0 + b1 d) w^d, w = a q^(-1/2).
     parts_w = tuple((b0, b1, a.shift(1)) for b0, b1, a in parts)
-    moduli = None
-    if parts_w:
-        # The head ends at e, the degree of the leading numerator term.
+    moduli = fill = None
+    if len(parts_w) == 1 and not parts_w[0][1]:
+        b0, _, w = parts_w[0]
+        moduli = (e + 1, abs(b0), w.s, 0)
+        if b0:
+            # The head ends at e, the degree of the leading numerator term.
+            fill = (e + 1, d_last, None)
+    if parts_w and not fill:
         for d, c in enumerate(_closed_form(parts_w, e + 1, d_last), e + 1):
             if c:
                 coeffs[d - A] = c
-        if len(parts_w) == 1 and not parts_w[0][1]:
-            b0, _, w = parts_w[0]
-            moduli = (e + 1, abs(b0), w.s, 0)
     # The roots left after the cancellation; none: an identically zero tail.
     rho = max((a.modulus() for a in roots), default=mpf(0))
     a0 = a1 = mpf(0)
@@ -305,36 +398,110 @@ def coefficient_table(rep: Representation, k: int,
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
     tail = TailBound(a0, a1, rho, d_last, A, p)
-    return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli)
+    return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli, None, fill)
+
+
+def _level_columns(rep: Representation, k: int, wanted) -> dict:
+    """``{i: column}`` for the columns ``i`` in ``wanted`` of level ``k`` of a
+    principal series or Steinberg twist that have no Satake root left, read
+    from integer arrays over ``characters_mod(p, k)``
+    (:func:`~padwhit.characters.level_constants`,
+    :func:`~padwhit.characters.twist_table`).  ``xi . St`` enters as
+    ``xi boxplus xi``: conductor ``2 cond(xi mu)``, epsilon ``eps(xi mu)^2``.
+
+    The head is :func:`_solve`'s: ``zeta(1) q^(-a/2) eps(mu) X^(a - k)``
+    for ``a = cond(mu) >= 1``, times ``rho^(k - a)`` for the diagonal ratio
+    ``rho`` (here ``q^(-1/2) rho``) and zero without one unless ``a = k``;
+    for trivial ``mu``, 1 at k = 0 and ``-zeta(1)/q`` at k = 1; then the sign
+    ``omega(-1)`` and the twist's epsilon factor in the denominator.  The
+    roots of unity add as numerators over one order ``M``, and the sum is
+    reduced; a conductor-1 epsilon factor enters the numeric ``approx``.
+    """
+    p = rep.p
+    chis = (rep.chi1, rep.chi2) if isinstance(rep, PrincipalSeries) else (rep.xi, rep.xi)
+    cond, eps, n = level_constants(p, k)
+    cond, eps = cond.tolist(), eps.tolist()
+    ratio = rep.diagonal_ratio()
+    rho = ScaledRoot(ONE, p) if ratio is None else ratio.shift(1)
+    tw1, tw2 = twist_table(chis[0], k), twist_table(chis[1], k)
+    M = math.lcm(n, rho.root.order, tw1[4], tw2[4])
+    rho_num = rho.root.num * (M // rho.root.order)
+    sign = 1 if rep.omega.at_minus_one().is_one() else -1
+    chars, window = characters_mod(p, k), _window(rep)
+    cols = {}
+    for i in wanted:
+        c1, c2, a = tw1[2][i], tw2[2][i], cond[i]
+        A = c1 + c2
+        if a and c1 and c2:
+            num, den, e = (p if ratio or a == k else 0), p - 1, a - k
+            root, s = (eps[i] * (M // n) if a >= 2 else 0) - e * rho_num, a - e * rho.s
+        elif not a and ratio is None:
+            (num, den), e, root, s = {0: (1, 1), 1: (-1, p - 1)}.get(k, (0, 1)), 0, 0, 0
+        elif not a and k and A:
+            # chi2's Satake root cancels against the dual factor q rho that
+            # the diagonal's tail leaves: (zeta(1)/q) rho^(k-1) (q rho) X^-k.
+            num, den, e, root, s = 1, p - 1, -k, k * rho_num, k * rho.s - 2
+        else:
+            continue  # a Satake root is left
+        if not num:
+            cols[i] = CoefficientTable(k, chars[i], A, {}, _no_tail(-10**9, A, p), ())
+            continue
+        approx, ramified = (epsilon_factor(chars[i]) if a == 1 else None), int(a >= 2)
+        if tw1[3][i] >= 0 and tw2[3][i] >= 0:
+            root -= tw1[3][i] * (M // tw1[4]) + tw2[3][i] * (M // tw2[4])
+            ramified -= (c1 > 0) + (c2 > 0)
+        else:
+            eps_tw = (ExtendedCharacter(characters_mod(p, tw1[0])[tw1[1][i]], chis[0].pi_value).epsilon()
+                      * ExtendedCharacter(characters_mod(p, tw2[0])[tw2[1][i]], chis[1].pi_value).epsilon())
+            approx = 1 / eps_tw if approx is None else approx / eps_tw
+        g = math.gcd(root % M, M)
+        head = (e - A, perturbed(_rational(sign * num, den), ramified), root % M // g,
+                M // g, s, e, approx)
+        cols[i] = CoefficientTable(k, chars[i], A, None, _no_tail(window + A, A, p), (),
+                                   None, head)
+    return cols
 
 
 class Level:
     """The columns of one level k, in :func:`characters_mod` order, indexed
     by ``t``.
 
-    ``by_t[t]`` lists the nonzero stored coefficients ``(i, c)`` at ``t`` in
-    column order; ``tails`` lists ``(i, column)`` for the columns with
-    partial fractions, the only ones nonzero past ``window``.
+    ``by_t[t]`` lists the columns ``i`` with a nonzero coefficient at ``t``,
+    in column order, and ``row(t)`` their ``(i, c)``, embedded on first use
+    and kept; ``tails`` lists ``(i, column)`` for the columns with partial
+    fractions, the only ones nonzero past ``window``.  ``solved`` counts the
+    columns :func:`coefficient_table` solved; the rest came from exact
+    arrays.
     """
 
-    __slots__ = ("columns", "by_t", "tails", "window")
+    __slots__ = ("columns", "by_t", "rows", "tails", "window", "solved")
 
-    def __init__(self, columns, window: int):
+    def __init__(self, columns, window: int, solved: int | None = None):
         self.columns = tuple(columns)
         self.window = window
+        self.solved = len(self.columns) if solved is None else solved
         by_t: dict = {}
         for i, tab in enumerate(self.columns):
-            for t, c in tab.coeffs.items():
-                if c:
-                    by_t.setdefault(t, []).append((i, c))
+            for t in tab.support():
+                by_t.setdefault(t, []).append(i)
         self.by_t = {t: tuple(live) for t, live in by_t.items()}
+        self.rows: dict = {}
         self.tails = tuple((i, tab) for i, tab in enumerate(self.columns)
                            if tab.parts)
+
+    def row(self, t: int) -> tuple:
+        """The nonzero ``(i, c[t,k](mu_i))`` at ``t <= window``."""
+        row = self.rows.get(t)
+        if row is None:
+            columns = self.columns
+            row = self.rows[t] = tuple((i, columns[i].coeff(t))
+                                       for i in self.by_t.get(t, ()))
+        return row
 
     def live(self, t: int):
         """The nonzero ``(i, c[t,k](mu_i))``, in column order."""
         if t <= self.window:
-            return self.by_t.get(t, ())
+            return self.row(t)
         live = []
         for i, tab in self.tails:
             c = tab.value(t)
@@ -349,8 +516,11 @@ class Level:
 @working_cache(maxsize=2048)
 def tables_for_level(rep: Representation, k: int) -> Level:
     """The :class:`Level` of every unit character of level <= k."""
-    return Level((coefficient_table(rep, k, mu)
-                  for mu in characters_mod(rep.p, k)), _window(rep))
+    chars = characters_mod(rep.p, k)
+    exact = ({} if isinstance(rep, SupercuspidalOracle)
+             else _level_columns(rep, k, range(len(chars))))
+    return Level([exact.get(i) or coefficient_table(rep, k, mu)
+                  for i, mu in enumerate(chars)], _window(rep), len(chars) - len(exact))
 
 
 # The contragredient's root number, the Atkin-Lehner phase's constant: for
@@ -535,8 +705,8 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     cands: list[tuple] = []
     tail_sup = mpf(0)
     screened = synthesized = 0
-    for k in range(n // 2 + 1):
-        level = tables_for_level(rep, k)
+    levels = [tables_for_level(rep, k) for k in range(n // 2 + 1)]
+    for k, level in enumerate(levels):
         entries, n_screened, n_synthesized = _level_values(
             level, character_table(p, k), -k - n, t_max, h, tie)
         screened += n_screened
@@ -549,9 +719,14 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
             if value >= threshold:
                 cands.append((value, Representative(t, k, v)))
         tail_sup = max(tail_sup, _tail_sup_level(level.columns, t_max))
-    log.debug("sup_norm %s: %d points screened in complex128, %d "
-              "synthesized at %d bits", rep.spec_string(), screened,
-              synthesized, mp.prec)
+    if log.isEnabledFor(logging.DEBUG):
+        solved = sum(level.solved for level in levels)
+        columns = [tab for level in levels for tab in level.columns]
+        log.debug("sup_norm %s: %d points screened in complex128, %d synthesized "
+                  "at %d bits; %d columns solved by coefficient_table, %d read "
+                  "from exact arrays, %d exact heads embedded", rep.spec_string(),
+                  screened, synthesized, mp.prec, solved, len(columns) - solved,
+                  sum(1 for tab in columns if tab.head and tab._coeffs is not None))
     witness = next(r for value, r in cands if value >= h * tie)
     if h < 1 - tolerance:
         raise RuntimeError(f"sup-norm {h} below 1; the solver is inconsistent")
@@ -574,7 +749,9 @@ def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
     ``level.columns[i]`` is the column of the character of row i of
     ``char_values``, as :func:`tables_for_level` builds them.
 
-    Points with one live character are read off exactly.  The others are
+    Points with one live character are read off exactly, and only the first
+    of a column's such rows that its ``moduli`` cover, since they fall from
+    there on.  The others are
     screened by :func:`_screen`; a point is skipped only when its upper bound
     lies below :func:`_tie_floor` of a value already known, so every point
     that can be the maximum or tie with it is synthesized exactly as without
@@ -582,17 +759,22 @@ def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
     level to working precision.
     """
     units, rows, table = char_values
-    by_t = level.by_t
+    by_t, columns = level.by_t, level.columns
     order = sorted(t for t in by_t if lo <= t <= hi)
-    multi = [by_t[t] for t in order if len(by_t[t]) > 1]
+    multi = [t for t in order if len(by_t[t]) > 1]
     # A single character: |W| is the same for every v, |c| of its column.
-    single = {}
+    # Where moduli cover t, |c| falls by q^(-sigma/2) <= 2^(-1/2) a degree,
+    # so a column's later single rows can neither be the maximum nor tie.
+    single, falling = {}, set()
     for t in order:
-        if len(by_t[t]) == 1:
-            i, c = by_t[t][0]
-            single[t] = level.columns[i].modulus(t, c)
+        if len(by_t[t]) == 1 and by_t[t][0] not in falling:
+            tab = columns[by_t[t][0]]
+            single[t] = tab.modulus(t)
+            if tab.moduli and tab.moduli[2] > 0 and t + tab.A >= tab.moduli[0]:
+                falling.add(by_t[t][0])
     best = max([best, *single.values()])
-    screen = _screen(multi, table) if multi else None
+    screen = _screen([[(i, columns[i].complex128(t)) for i in by_t[t]]
+                      for t in multi], table) if multi else None
     exact: dict = {}
     if screen is None:
         keep = np.ones((len(multi), len(units)), dtype=bool)
@@ -603,18 +785,19 @@ def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
         if keep.any():
             # The largest screened point first, to raise the floor.
             r, j = divmod(int(np.argmax(upper)), upper.shape[1])
-            exact[r, j] = _synthesize(multi[r], rows, j)
+            exact[r, j] = _synthesize(level.row(multi[r]), rows, j)
             keep = ~(upper < _tie_floor(max(best, exact[r, j]), tie))
     out = []
     r = 0
     for t in order:
-        if t in single:
-            out.append((single[t], t, units[0]))
+        if len(by_t[t]) == 1:
+            if t in single:
+                out.append((single[t], t, units[0]))
             continue
         for j in np.flatnonzero(keep[r]).tolist():
             value = exact.get((r, j))
             if value is None:
-                value = _synthesize(by_t[t], rows, j)
+                value = _synthesize(level.row(t), rows, j)
             out.append((value, t, units[j]))
         r += 1
     return out, 0 if screen is None else keep.size, int(keep.sum())
@@ -636,41 +819,50 @@ _F64_ETA = 2.0**-1074
 
 def _screen(multi, table):
     """complex128 values ``|sum_i c_i chi_i(v_j)|`` for the rows ``multi``
-    (per t, the live ``(i, c_i)``) and the character table ``table``, with a
-    bound per row on their distance from the working-precision values, or
-    None when a coefficient is not finite in float64.
+    (per t, the live ``(i, z_i)``, ``z_i`` the complex128 coefficient that
+    :meth:`CoefficientTable.complex128` gives, or an ``mpc``) and the
+    character table ``table``, with a bound per row on their distance from
+    the working-precision values, or None when a coefficient is not finite
+    in float64.
 
     A-priori bound (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., ch. 3), with ``m`` characters, ``u = 2^-53``,
     ``w = 2^-prec`` (``w <= u``), ``gamma_k = k u / (1 - k u)`` and
     ``P = sum_i |c_i| |chi_i(v)|``, where ``|chi_i(v)| <= 1 + 2w``:
 
-    * rounding ``c_i`` and ``chi_i(v)`` to complex128 moves each part by at
-      most 2u relative (mpmath may round toward zero), so each product by at
-      most ``(4u + 4u^2) |c_i| |chi_i(v)|``;
+    * each ``z_i`` is within ``alpha |c_i|`` of the working-precision
+      coefficient ``c_i``, ``alpha = 5u + w`` to first order.  An exact
+      monomial's ``c_i = r Z`` is its rational ``r`` times its embedded root
+      and q-power ``Z``, rounded once (``w``); its ``z_i`` is ``Z`` and
+      ``r`` converted to complex128 and float, each part by at most 2u
+      relative (mpmath may round toward zero), and multiplied once (``u``).
+      Any other ``z_i`` is ``c_i`` converted, within 2u;
+    * converting ``chi_i(v)`` adds 2u, so each product moves by at most
+      ``(alpha + 2u + 2 alpha u) |c_i| |chi_i(v)|``;
     * the real and imaginary parts of the product are real inner products
       of length 2m, which any summation order, with or without fused
-      multiply-adds, computes within ``gamma_2m sum_i |c_i^| |chi_i^(v)|``,
-      so the complex sum within ``sqrt(2) gamma_2m (1 + 2u)^2 P``;
+      multiply-adds, computes within ``gamma_2m sum_i |z_i| |chi_i^(v)|``,
+      so the complex sum within ``sqrt(2) gamma_2m (1 + alpha)(1 + 2u) P``;
     * ``abs`` (hypot) adds at most ``u`` relative;
     * the working-precision loop itself errs by at most
       ``sqrt(2) gamma^w_2m P + w |W|``.
 
-    That is ``(2.9 m + 5.1)(u + w) P`` to first order.  The bound used,
-    ``(4 m + 8)(u + w) sum_i |c_i^|``, leaves room for the second-order
-    terms, for ``P <= (1 + 2w)(1 + 2u) sum_i |c_i^|`` and for the rounding of
-    the bound itself; ``(16 m + 16) 2^-1074`` covers underflow.
+    That is ``(2.9 m + 8.1)(u + w) P`` to first order.  The bound used,
+    ``(4 m + 12)(u + w) sum_i |z_i|``, leaves room for the second-order
+    terms, for ``P <= (1 + 2w)(1 + 2u)(1 + alpha) sum_i |z_i|`` and for the
+    rounding of the bound itself; ``(20 m + 16) 2^-1074`` covers underflow,
+    the product that forms a monomial's ``z_i`` included.
     """
     m = table.shape[0]
     coeffs = np.zeros((len(multi), m), dtype=np.complex128)
     for r, live in enumerate(multi):
-        for i, c in live:
-            coeffs[r, i] = complex(c)
+        for i, z in live:
+            coeffs[r, i] = complex(z)
     if not np.isfinite(coeffs).all():
         return None
     w = math.ldexp(1.0, -mp.prec)
-    bounds = ((4 * m + 8) * (_F64_U + w) * np.abs(coeffs).sum(axis=1)
-              + (16 * m + 16) * _F64_ETA)
+    bounds = ((4 * m + 12) * (_F64_U + w) * np.abs(coeffs).sum(axis=1)
+              + (20 * m + 16) * _F64_ETA)
     return np.abs(coeffs @ table), bounds
 
 

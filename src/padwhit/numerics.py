@@ -88,6 +88,11 @@ def perturbed(value, count: int = 1):
     return value * (1 + delta) ** count if delta and count else value
 
 
+def working_state() -> tuple:
+    """The precision and canary that key :func:`working_cache`."""
+    return mp._prec, _canary[1]
+
+
 def working_cache(maxsize):
     """``lru_cache(maxsize)`` for a value computed at working precision.  The
     key is the call's positional arguments plus the live precision and the

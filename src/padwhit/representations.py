@@ -349,7 +349,9 @@ def load_oracle(source) -> SupercuspidalOracle:
 
     Schema: ``{"p": int, "n": int, "omega": CHAR, "twists":
     [{"mu": CHAR, "a_mu_pi": int, "eps": [re, im]}, ...]}``, with ``re`` and
-    ``im`` decimal strings or JSON numbers.
+    ``im`` decimal strings or JSON numbers.  A table whose epsilon factors
+    break ``eps(mu) eps(mu^-1 omega^-1) = omega(-1)`` beyond the tolerance
+    of the ``|eps| = 1`` check is refused with ``ValueError``.
     """
     if isinstance(source, dict):
         data = source
@@ -366,7 +368,14 @@ def load_oracle(source) -> SupercuspidalOracle:
         mu = parse_unit_char(entry["mu"], p)
         re, im = entry["eps"]
         twists.append((mu, int(entry["a_mu_pi"]), mpc(mpf(str(re)), mpf(str(im)))))
-    return make_supercuspidal(p, n, omega, twists)
+    rep = make_supercuspidal(p, n, omega, twists)
+    # The contragredient is pi (x) omega^-1, so its root number pairs with pi's.
+    table, omega_inv, sign = rep._table, omega.inverse(), omega.at_minus_one().embed()
+    for mu, (_, eps) in table.items():
+        if not approx_equal(eps * table[twisted(mu.inverse(), omega_inv)][1], sign):
+            raise ValueError(f"oracle epsilon at {format_char(mu)} breaks the duality "
+                             "eps(mu) eps(mu^-1 omega^-1) = omega(-1)")
+    return rep
 
 
 def dump_oracle(rep: SupercuspidalOracle) -> dict:

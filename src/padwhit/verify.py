@@ -475,13 +475,13 @@ def check_parseval(rep: Representation, seed: int = 11) -> CheckReport:
     n, p = rep.n, rep.p
     rng = random.Random(seed)
     for k in range(n // 2 + 1):
-        by_t = tables_for_level(rep, k).by_t
-        support = sorted(by_t)
+        level = tables_for_level(rep, k)
+        support = sorted(level.by_t)
         pick = support if len(support) <= 6 else rng.sample(support, 6)
         units = unit_group(p, k).units()
         for t in sorted(pick):
             parseval = mpf(0)
-            for _, c in by_t[t]:
+            for _, c in level.row(t):
                 parseval += abs(c) ** 2
             direct = mpf(0)
             for v in units:
@@ -522,7 +522,11 @@ def check_main_theorem(family) -> CheckReport:
     )
     two_thirds = mpf(2) / 3
     for rep in family:
-        res = sup_norm(rep)
+        try:
+            res = sup_norm(rep)
+        except RuntimeError as err:  # an inconsistent solver, e.g. under the canary
+            report.record_bool(False, f"sup_norm {rep.spec_string()}: {err}")
+            continue
         report.record_bool(res.certified, f"certification {rep.spec_string()}")
         lower, upper = res.lower_ref, res.upper_ref
         dev = mpf(0)

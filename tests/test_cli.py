@@ -232,9 +232,17 @@ def test_verify_manifest_golden(tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == \
         GOLDEN.joinpath("verify_p23_a2_n3.json").read_bytes()
-    code, _, _ = run_cli(capsys, *argv, "--perturb-eps", "1e-6",
-                         "--out", str(out))
+    code, _, err = run_cli(capsys, *argv, "--perturb-eps", "1e-6",
+                           "--out", str(out))
     assert code == 1
+    # sup_norm's consistency error under the canary is a failed case that
+    # names its descriptor, and the manifest is still written.
+    assert "[FAIL] supnorm-sandwich" in err
+    [sandwich] = [c for c in json.loads(out.read_text())["checks"]
+                  if c["check_id"] == "supnorm-sandwich"]
+    assert not sandwich["passed"]
+    assert sandwich["worst_case"].startswith(("sup_norm ps:", "sup_norm st:"))
+    assert "below 1; the solver is inconsistent" in sandwich["worst_case"]
 
 
 def test_verify_cli_pass_and_canary(tmp_path, capsys):

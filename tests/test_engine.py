@@ -547,19 +547,88 @@ def test_exact_columns_make_no_complex_division(monkeypatch):
     assert sum(1 for tab in solved if tab.coeffs and not tab.parts) > 2000
 
 
+def test_exact_columns_match_the_solve_bit_for_bit(monkeypatch):
+    # Every column a level reads from its exact arrays against the
+    # functional-equation solve of the same column, with the twists
+    # multiplied by evaluating the characters: the same head bit for bit,
+    # and so the same coefficient; coefficient_table returns that column.
+    from padwhit import representations
+
+    family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
+    built = []
+    for rep in family:
+        for k in range(rep.n + 1):
+            chars = characters_mod(rep.p, k)
+            columns = engine._level_columns(rep, k, range(len(chars)))
+            built += [(rep, k, chars[i], tab) for i, tab in columns.items()]
+            assert all(coefficient_table(rep, k, chars[i]).coeffs == tab.coeffs
+                       for i, tab in columns.items())
+    monkeypatch.setattr(representations, "twisted", lambda chi, mu: chi * mu)
+    kinds = {}
+    for rep, k, mu, tab in built:
+        want = engine._solve(rep, k, mu, rep.twist_data(mu))
+        where = (rep.spec_string(), k, mu)
+        assert (tab.A, tab.head, tab.parts) == (want.A, want.head, want.parts), where
+        assert tab.coeffs == want.coeffs, where
+        kind = "zero" if tab.head is None else "monomial" if tab.head[6] is None else "approx"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) > 500, kinds
+
+
+@pytest.mark.parametrize("change", ["precision", "canary"])
+def test_a_cached_level_embeds_only_under_its_own_state(change):
+    # Coefficients are embedded lazily; a level held across a change of
+    # precision or canary refuses to embed rather than mix the two states.
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))  # a fill at k = 0
+    other = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))  # conductor-1 twists
+    engine.tables_for_level.cache_clear()
+    levels = [tables_for_level(rep, 0), tables_for_level(other, 1)]
+    # The rows with a coefficient not yet embedded: a head, or a degree of
+    # a pending fill.
+    lazy = [(level, t) for level in levels for t in sorted(level.by_t)
+            if any(tab._coeffs is None or (tab.fill and t + tab.A >= tab.fill[0])
+                   for tab in (level.columns[i] for i in level.by_t[t]))]
+    assert any(level is levels[0] for level, _ in lazy)
+    assert any(tab.head and tab.head[6] is not None for tab in levels[1].columns)
+    old = get_precision()
+    try:
+        with perturb_epsilon(1e-3 if change == "canary" else 0):
+            set_precision(53 if change == "precision" else old)
+            for level, t in lazy:
+                with pytest.raises(RuntimeError, match="another precision or epsilon canary"):
+                    level.row(t)
+            for level in levels:
+                for tab in level.columns:
+                    if tab.head and tab.head[6] is None:
+                        with pytest.raises(RuntimeError):
+                            tab.modulus(tab.head[0])
+            fresh = tables_for_level(rep, 0)
+            assert fresh is not levels[0] and fresh.row(max(fresh.by_t))
+    finally:
+        set_precision(old)
+    # Back under its own state the level embeds its own values.
+    got = [level.row(t) for level, t in lazy]
+    engine.tables_for_level.cache_clear()
+    cold = [tables_for_level(rep, 0), tables_for_level(other, 1)]
+    assert got == [cold[levels.index(level)].row(t) for level, t in lazy]
+
+
 def test_single_live_moduli_are_the_moduli_of_the_coefficients():
     family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
     exact = 0
     for rep in family:
         for k in range(rep.n // 2 + 1):
             for tab in tables_for_level(rep, k).columns:
-                if tab.moduli is None:
+                if tab.moduli is not None:
+                    d_lo = tab.moduli[0]
+                elif tab.head is not None and tab.head[6] is None:
+                    d_lo = tab.head[0] + tab.A  # a monomial: its one degree
+                else:
                     continue
-                d_lo = tab.moduli[0]
                 for t, c in tab.coeffs.items():
                     if t + tab.A >= d_lo:
                         exact += 1
-                        assert abs(tab.modulus(t, c) - abs(c)) <= mpf("1e-36") * abs(c)
+                        assert abs(tab.modulus(t) - abs(c)) <= mpf("1e-36") * abs(c)
     assert exact > 5000
 
 
@@ -746,11 +815,14 @@ def test_level_indexes_the_stored_coefficients_by_t():
     for k in range(rep.n + 1):
         level = tables_for_level(rep, k)
         assert [tab.mu for tab in level.columns] == list(characters_mod(3, k))
+        by_t = {t: level.row(t) for t in level.by_t}  # before any is embedded
         regrouped: dict = {}
         for i, tab in enumerate(level.columns):
             for t, c in tab.coeffs.items():
                 regrouped.setdefault(t, []).append((i, c))
-        assert {t: list(live) for t, live in level.by_t.items()} == regrouped
+        assert {t: list(live) for t, live in by_t.items()} == regrouped
+        assert {t: [i for i, _ in live] for t, live in by_t.items()} == {
+            t: list(live) for t, live in level.by_t.items()}
         assert [i for i, _ in level.tails] == [
             i for i, tab in enumerate(level.columns) if tab.parts]
 
@@ -854,19 +926,20 @@ def test_columns_match_the_recurrence():
     for rep in family:
         for k in range(rep.n + 1):
             for mu in characters_mod(rep.p, k):
-                tab, want = _recurrence_column(rep, k, mu)
                 where = (rep.spec_string(), k, mu)
-                if tab.coeffs and not want:
-                    # A monomial read off one exact root: against the same
-                    # column solved with numeric epsilon factors.
+                tab = coefficient_table(rep, k, mu)
+                if tab.head is not None:
+                    # One coefficient, no Euler factor left: against the same
+                    # column solved with every epsilon factor numeric.
                     monomial += 1
                     with _numeric_epsilon_factors(rep):
-                        numeric, want = _recurrence_column(rep, k, mu)
-                    assert numeric.coeffs == want, where
+                        numeric = engine._solve(rep, k, mu, rep.twist_data(mu))
                     (t, c), = tab.coeffs.items()
-                    assert want.keys() == {t}, where
-                    assert abs(c - want[t]) <= mpf("1e-36") * abs(want[t]), where
+                    assert numeric.coeffs.keys() == {t}, where
+                    want = numeric.coeffs[t]
+                    assert abs(c - want) <= mpf("1e-36") * abs(want), where
                     continue
+                tab, want = _recurrence_column(rep, k, mu)
                 if not tab.parts:
                     assert tab.coeffs == want, where
                     continue
@@ -1065,6 +1138,41 @@ def test_screen_bound_holds_on_random_coefficients(bits):
         set_precision(old)
 
 
+@pytest.mark.parametrize("bits", [53, 128])
+def test_screen_bound_holds_against_512_bit_values(bits):
+    # One-sided: every screened value, from the complex128 coefficients the
+    # levels give the screen, lies within its bound of |W| synthesized at
+    # 512 bits from the same descriptor's 512-bit levels.
+    old = get_precision()
+    try:
+        rows = 0
+        for rep in SCREEN_FAMILY:
+            for k in range(rep.n // 2 + 1):
+                set_precision(bits)
+                level = tables_for_level(rep, k)
+                table = characters.character_table(rep.p, k)[2]
+                multi = [t for t in sorted(level.by_t) if len(level.by_t[t]) > 1]
+                if not multi:
+                    continue
+                values, bounds = engine._screen(
+                    [[(i, level.columns[i].complex128(t)) for i in level.by_t[t]]
+                     for t in multi], table)
+                set_precision(512)
+                columns = tables_for_level(rep, k).columns
+                exact_rows = characters.character_table(rep.p, k)[1]
+                for r, t in enumerate(multi):
+                    for j in range(table.shape[1]):
+                        w = mpc(0)
+                        for i, tab in enumerate(columns):
+                            w += tab.value(t) * exact_rows[i][j]
+                        assert abs(mpf(values[r, j]) - abs(w)) <= mpf(bounds[r]), \
+                            (bits, rep.spec_string(), k, t, j)
+                    rows += 1
+        assert rows > 500
+    finally:
+        set_precision(old)
+
+
 def test_screen_falls_back_on_non_finite_coefficient():
     p, k, lo, hi = 3, 2, -3, 1
     char_values = characters.character_table(p, k)
@@ -1133,6 +1241,16 @@ def test_sup_norm_logs_screen_counts(caplog):
     screened, synthesized = map(int, match.groups())
     assert screened > synthesized > 0
     assert rep.spec_string() in msg
+    match = re.search(r"(\d+) columns solved by coefficient_table, (\d+) read "
+                      r"from exact arrays, (\d+) exact heads embedded", msg)
+    assert match, msg
+    solved, built, embedded = map(int, match.groups())
+    levels = [tables_for_level(rep, k) for k in range(rep.n // 2 + 1)]
+    # chi2^-1 has a Satake root at k = 1, 2; the rest are read from arrays,
+    # and only those that reached a synthesized point are embedded.
+    assert solved == sum(level.solved for level in levels) == 2
+    assert solved + built == sum(len(level.columns) for level in levels)
+    assert 0 < embedded < built
 
 
 def test_sup_norm_logs_why_not_certified(caplog, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -8,6 +9,7 @@ from padwhit.characters import (
     ExtendedCharacter,
     characters_mod,
     epsilon_factor,
+    format_char,
     make_character,
 )
 from padwhit.numerics import ONE, MINUS_ONE, RootOfUnity, approx_equal, get_precision, set_precision
@@ -224,6 +226,25 @@ def test_oracle_validation_errors():
     bad["twists"][0]["eps"] = [2.0, 0.0]  # not unit modulus
     with pytest.raises(ValueError):
         load_oracle(bad)
+
+
+def test_oracle_duality_pairing_is_checked():
+    # eps(mu) eps(mu^-1 omega^-1) = omega(-1) at every twist.  A p = 3,
+    # n = 3 table with independent random phases breaks it and is refused,
+    # naming a twist; synthetic oracles and their dumps are accepted.
+    rng = random.Random(4)
+    doc = {"p": 3, "n": 3, "omega": "3^0:0", "twists": []}
+    for mu in characters_mod(3, 3):
+        phase = mp.expjpi(mpf(2 * rng.randrange(840)) / 840)
+        doc["twists"].append({"mu": format_char(mu), "a_mu_pi": max(3, 2 * mu.conductor),
+                              "eps": [str(phase.real), str(phase.imag)]})
+    with pytest.raises(ValueError, match=r"oracle epsilon at 3\^.* breaks the duality"):
+        load_oracle(doc)
+    for p, n, m, seed in ((3, 3, 0, 4), (3, 2, 1, 6), (5, 2, 1, 2), (2, 4, 2, 5), (3, 4, 2, 5)):
+        omega = next(mu for mu in characters_mod(p, m) if mu.conductor == m)
+        sc = synthetic_oracle(p, n, omega, seed=seed)
+        loaded = load_oracle(json.loads(json.dumps(dump_oracle(sc))))
+        assert loaded.twists == sc.twists
 
 
 def test_families_deterministic_and_sized():
