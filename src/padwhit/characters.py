@@ -227,17 +227,6 @@ def level_constants(p: int, level: int):
 
 
 @lru_cache(maxsize=None)
-def _lifted_grid(p: int, k: int, level: int):
-    """The exponent vectors of ``characters_mod(p, k)`` lifted to ``level``,
-    the generator orders there and their mixed-radix weights."""
-    orders = [order for _, order in unit_group(p, level).generators]
-    exps = [_lifted_exps(mu, level) for mu in characters_mod(p, k)]
-    radix = [math.prod(orders[g + 1:]) for g in range(len(orders))]
-    return (np.array(exps, dtype=np.int64).reshape(len(exps), len(orders)),
-            np.array(orders, dtype=np.int64), np.array(radix, dtype=np.int64))
-
-
-@lru_cache(maxsize=None)
 def twist_table(chi: "ExtendedCharacter", k: int) -> tuple:
     """``(level, index, cond, root, order)`` for the twists of ``chi`` by
     every ``mu_i`` of ``characters_mod(p, k)``, each found as :func:`twisted`
@@ -247,8 +236,13 @@ def twist_table(chi: "ExtendedCharacter", k: int) -> tuple:
     epsilon factor ``e(root[i] / order)``, read off
     :func:`level_constants`; ``root[i]`` is -1 at conductor 1."""
     pi, level = chi.pi_value, max(chi.conductor, k)
-    exps, orders, radix = _lifted_grid(chi.p, k, level)
-    index = (exps + np.array(_lifted_exps(chi.unit_part, level), dtype=np.int64)) % orders @ radix
+    orders = [order for _, order in unit_group(chi.p, level).generators]
+    radix = [math.prod(orders[g + 1:]) for g in range(len(orders))]
+    chars = characters_mod(chi.p, k)
+    exps = np.array([_lifted_exps(mu, level) for mu in chars],
+                    dtype=np.int64).reshape(len(chars), len(orders))
+    exps += np.array(_lifted_exps(chi.unit_part, level), dtype=np.int64)
+    index = exps % np.array(orders, dtype=np.int64) @ np.array(radix, dtype=np.int64)
     cond, eps, n = level_constants(chi.p, level)
     cond, eps, order = cond[index], eps[index], math.lcm(n, pi.order)
     # ExtendedCharacter.epsilon_root: chi(p)^cond times the unit part's.

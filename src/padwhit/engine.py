@@ -124,16 +124,14 @@ class CoefficientTable:
     partial fraction.
 
     Coefficients are embedded on first use, by the operations :func:`_solve`
-    would use, and kept; ``state``, the precision and epsilon canary the
-    column was solved under, is the only one they embed under.  A column
-    with no Euler factor left has a ``head`` ``(t, scalar, num, order, s, e,
-    approx)``: its one coefficient is ``c[t] = scalar e(num/order)
-    q^(-(s + e)/2)``, times ``approx``, the numeric epsilon factors
-    (conductor 1, or an oracle's), where there are any.  A simple partial
-    fraction ``b0 w^d``, ``b0 != 0``, leaves a ``fill`` ``(d, d_hi, x)``:
-    the degrees ``d..d_hi``, all nonzero, each the one before times ``w`` as
-    :func:`_closed_form` runs them (``x`` the next, None at first), stored
-    only as far as they are read."""
+    would use, and kept, under ``state``, the precision and epsilon canary
+    the column was solved under, and no other.  A column with no Euler
+    factor left has a ``head`` ``(t, scalar, num, order, s, e, approx)``:
+    its one coefficient ``c[t] = scalar e(num/order) q^(-(s + e)/2)``, times
+    the numeric epsilon factors ``approx`` (conductor 1, or an oracle's),
+    where there are any.  One simple partial fraction ``b0 w^d``,
+    ``b0 != 0``, leaves a ``fill`` ``(d_lo, d_hi)``: those degrees, all
+    nonzero, are filled by :func:`_closed_form` when one is first read."""
 
     __slots__ = ("k", "mu", "A", "_coeffs", "tail", "parts", "moduli", "head",
                  "fill", "state")
@@ -149,24 +147,24 @@ class CoefficientTable:
     @property
     def coeffs(self) -> dict:
         if self._coeffs is None or self.fill:
-            self._embed(self.tail.d_from)
+            self._embed()
         return self._coeffs
 
     def coeff(self, t: int) -> mpc:
-        """The stored coefficient at ``t``, 0 if none, embedded alone."""
+        """The stored coefficient at ``t``, 0 if none."""
         if self._coeffs is None or (self.fill and t + self.A >= self.fill[0]):
-            self._embed(t + self.A)
-        return self._coeffs.get(t, mpc(0))
+            self._embed()
+        c = self._coeffs.get(t)
+        return mpc(0) if c is None else c
 
-    def _checked(self):
+    def _checked(self) -> tuple:
         if self.state != working_state():
             raise RuntimeError(
                 f"column {format_char(self.mu)} at k={self.k} was solved at another "
                 "precision or epsilon canary; solve it again under this one")
         return self.head
 
-    def _embed(self, d_to: int) -> None:
-        """The head's coefficient, or the fill up to degree ``d_to``."""
+    def _embed(self) -> None:
         if self._coeffs is None:
             t, scalar, num, order, s, e, approx = self._checked()
             q = self.tail.q
@@ -177,13 +175,10 @@ class CoefficientTable:
                                 * approx * q_power(q, e)}
             return
         self._checked()
-        (d, d_hi, x), (b0, _, w) = self.fill, self.parts[0]
-        x = (w**d).embed() * b0 if x is None else x
-        step = w.embed()
-        while d <= min(d_to, d_hi):
-            self._coeffs[d - self.A] = x
-            x, d = x * step, d + 1
-        self.fill = (d, d_hi, x) if d <= d_hi else None
+        d_lo, d_hi = self.fill
+        for d, c in enumerate(_closed_form(self.parts, d_lo, d_hi), d_lo):
+            self._coeffs[d - self.A] = c
+        self.fill = None
 
     def support(self) -> list:
         """The ``t`` of the nonzero coefficients, read without embedding."""
@@ -385,7 +380,7 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
         moduli = (e + 1, abs(b0), w.s, 0)
         if b0:
             # The head ends at e, the degree of the leading numerator term.
-            fill = (e + 1, d_last, None)
+            fill = (e + 1, d_last)
     if parts_w and not fill:
         for d, c in enumerate(_closed_form(parts_w, e + 1, d_last), e + 1):
             if c:
@@ -423,18 +418,19 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
     cond, eps = cond.tolist(), eps.tolist()
     ratio = rep.diagonal_ratio()
     rho = ScaledRoot(ONE, p) if ratio is None else ratio.shift(1)
-    tw1, tw2 = twist_table(chis[0], k), twist_table(chis[1], k)
-    M = math.lcm(n, rho.root.order, tw1[4], tw2[4])
-    rho_num = rho.root.num * (M // rho.root.order)
+    (level1, index1, cond1, root1, n1), (level2, index2, cond2, root2, n2) = (
+        twist_table(chis[0], k), twist_table(chis[1], k))
+    M = math.lcm(n, rho.root.order, n1, n2)
+    rho_num, scale, scale1, scale2 = rho.root.num * (M // rho.root.order), M // n, M // n1, M // n2
     sign = 1 if rep.omega.at_minus_one().is_one() else -1
     chars, window = characters_mod(p, k), _window(rep)
     cols = {}
     for i in wanted:
-        c1, c2, a = tw1[2][i], tw2[2][i], cond[i]
+        c1, c2, a = cond1[i], cond2[i], cond[i]
         A = c1 + c2
         if a and c1 and c2:
-            num, den, e = (p if ratio or a == k else 0), p - 1, a - k
-            root, s = (eps[i] * (M // n) if a >= 2 else 0) - e * rho_num, a - e * rho.s
+            num, den, e = (p if ratio is not None or a == k else 0), p - 1, a - k
+            root, s = (eps[i] * scale if a >= 2 else 0) - e * rho_num, a - e * rho.s
         elif not a and ratio is None:
             (num, den), e, root, s = {0: (1, 1), 1: (-1, p - 1)}.get(k, (0, 1)), 0, 0, 0
         elif not a and k and A:
@@ -447,12 +443,12 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
             cols[i] = CoefficientTable(k, chars[i], A, {}, _no_tail(-10**9, A, p), ())
             continue
         approx, ramified = (epsilon_factor(chars[i]) if a == 1 else None), int(a >= 2)
-        if tw1[3][i] >= 0 and tw2[3][i] >= 0:
-            root -= tw1[3][i] * (M // tw1[4]) + tw2[3][i] * (M // tw2[4])
+        if root1[i] >= 0 and root2[i] >= 0:
+            root -= root1[i] * scale1 + root2[i] * scale2
             ramified -= (c1 > 0) + (c2 > 0)
         else:
-            eps_tw = (ExtendedCharacter(characters_mod(p, tw1[0])[tw1[1][i]], chis[0].pi_value).epsilon()
-                      * ExtendedCharacter(characters_mod(p, tw2[0])[tw2[1][i]], chis[1].pi_value).epsilon())
+            eps_tw = (ExtendedCharacter(characters_mod(p, level1)[index1[i]], chis[0].pi_value).epsilon()
+                      * ExtendedCharacter(characters_mod(p, level2)[index2[i]], chis[1].pi_value).epsilon())
             approx = 1 / eps_tw if approx is None else approx / eps_tw
         g = math.gcd(root % M, M)
         head = (e - A, perturbed(_rational(sign * num, den), ramified), root % M // g,
