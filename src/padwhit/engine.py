@@ -402,7 +402,8 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
     from integer arrays over ``characters_mod(p, k)``
     (:func:`~padwhit.characters.level_constants`,
     :func:`~padwhit.characters.twist_table`).  ``xi . St`` enters as
-    ``xi boxplus xi``: conductor ``2 cond(xi mu)``, epsilon ``eps(xi mu)^2``.
+    ``xi boxplus xi``: conductor ``2 cond(xi mu)`` (1 when unramified),
+    epsilon ``eps(xi mu)^2``.
 
     The head is :func:`_solve`'s: ``zeta(1) q^(-a/2) eps(mu) X^(a - k)``
     for ``a = cond(mu) >= 1``, times ``rho^(k - a)`` for the diagonal ratio
@@ -413,7 +414,8 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
     reduced; a conductor-1 epsilon factor enters the numeric ``approx``.
     """
     p = rep.p
-    chis = (rep.chi1, rep.chi2) if isinstance(rep, PrincipalSeries) else (rep.xi, rep.xi)
+    ps = isinstance(rep, PrincipalSeries)
+    chis = (rep.chi1, rep.chi2) if ps else (rep.xi, rep.xi)
     cond, eps, n = level_constants(p, k)
     cond, eps = cond.tolist(), eps.tolist()
     ratio = rep.diagonal_ratio()
@@ -427,13 +429,15 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
     cols = {}
     for i in wanted:
         c1, c2, a = cond1[i], cond2[i], cond[i]
-        A = c1 + c2
-        if a and c1 and c2:
+        A = c1 + c2 or int(not ps)  # xi mu unramified: conductor 1 for xi . St
+        # Without a diagonal ratio the column is zero unless a = k, whatever
+        # its Satake roots.
+        if a and ((c1 and c2) or (ratio is None and a != k)):
             num, den, e = (p if ratio is not None or a == k else 0), p - 1, a - k
             root, s = (eps[i] * scale if a >= 2 else 0) - e * rho_num, a - e * rho.s
         elif not a and ratio is None:
             (num, den), e, root, s = {0: (1, 1), 1: (-1, p - 1)}.get(k, (0, 1)), 0, 0, 0
-        elif not a and k and A:
+        elif not a and k and (c1 or c2):
             # chi2's Satake root cancels against the dual factor q rho that
             # the diagonal's tail leaves: (zeta(1)/q) rho^(k-1) (q rho) X^-k.
             num, den, e, root, s = 1, p - 1, -k, k * rho_num, k * rho.s - 2
@@ -599,7 +603,12 @@ def _rounded_up(value: mpf, k: int) -> mpf:
     put ``x`` below ``value (1 + u)^k``.  ``1 + u`` is exact in ``prec``
     bits; the three roundings of this inflation itself, two for the power
     and one for the product, are counted here on top of ``k``."""
-    return value * (1 + mp.ldexp(1, 1 - mp.prec)) ** (k + 3)
+    return value * _inflation(k)
+
+
+@working_cache(maxsize=256)
+def _inflation(k: int) -> mpf:
+    return (1 + mp.ldexp(1, 1 - mp.prec)) ** (k + 3)
 
 
 def lambda_sq_sum(rep: Representation, k: int):

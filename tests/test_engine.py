@@ -1246,9 +1246,10 @@ def test_sup_norm_logs_screen_counts(caplog):
     assert match, msg
     solved, built, embedded = map(int, match.groups())
     levels = [tables_for_level(rep, k) for k in range(rep.n // 2 + 1)]
-    # chi2^-1 has a Satake root at k = 1, 2; the rest are read from arrays,
-    # and only those that reached a synthesized point are embedded.
-    assert solved == sum(level.solved for level in levels) == 2
+    # Only chi2^-1 at k = 1 is solved: at k = 2 its column is zero (no
+    # diagonal ratio and cond 1 < k) and is read from the arrays with the
+    # rest; only heads that reached a synthesized point are embedded.
+    assert solved == sum(level.solved for level in levels) == 1
     assert solved + built == sum(len(level.columns) for level in levels)
     assert 0 < embedded < built
 
