@@ -214,6 +214,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def cmd_verify(args) -> int:
     suites = ("gl1", "representation", "main") if args.suite == "all" else (args.suite,)
+    if not (math.isfinite(args.perturb_eps) and args.perturb_eps > -1):
+        raise UsageError(f"--perturb-eps must be finite and > -1, got {args.perturb_eps}")
     with perturb_epsilon(args.perturb_eps):
         reports = run_suite(tuple(args.p), args.amax, args.nmax, suites)
     doc = {

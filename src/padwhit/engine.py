@@ -16,8 +16,12 @@ tail in the Satake parameters.  Most columns of a principal series or a
 Steinberg twist have no Satake root; each is one exact term, and a level
 reads all of them at once from integer arrays over its characters
 (:func:`_level_columns`).  Coefficients are embedded at working precision
-only where something reads them, and the complex128 screen of
-:func:`sup_norm` reads monomials from their exact data.
+only where something reads them, and a conductor-1 epsilon factor is kept
+as its characters until then (:class:`_Epsilons`).  :func:`sup_norm`
+screens its whole domain in complex128 first, reading each such column
+from cached complex128 copies of its root, q-power and epsilon values, and
+synthesizes at working precision only the points at or above one tie floor
+for the whole domain.
 
 Columns with ``k > n/2`` are never solved directly in normal operation: the
 generalized Atkin-Lehner relation takes a point there to the contragredient
@@ -34,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -56,6 +61,7 @@ from .numerics import (
     ONE,
     RootOfUnity,
     ScaledRoot,
+    _scaled_complex,
     _scaled_embed,
     expand_geometric,
     perturbed,
@@ -126,10 +132,14 @@ class CoefficientTable:
     Coefficients are embedded on first use, by the operations :func:`_solve`
     would use, and kept, under ``state``, the precision and epsilon canary
     the column was solved under, and no other.  A column with no Euler
-    factor left has a ``head`` ``(t, scalar, num, order, s, e, approx)``:
+    factor left has a ``head`` ``(t, scalar, num, order, s, e, factor)``:
     its one coefficient ``c[t] = scalar e(num/order) q^(-(s + e)/2)``, times
-    the numeric epsilon factors ``approx`` (conductor 1, or an oracle's),
-    where there are any.  One simple partial fraction ``b0 w^d``,
+    its numeric epsilon factors where there are any.  The 7th slot,
+    ``factor``, is None for an exact monomial; an :class:`_Epsilons` for a
+    column read from a level's arrays, whose conductor-1 factors are kept
+    as characters and formed at working precision only when the
+    coefficient is embedded; or an ``mpc`` for a head that :func:`_solve`
+    solved (an oracle's).  One simple partial fraction ``b0 w^d``,
     ``b0 != 0``, leaves a ``fill`` ``(d_lo, d_hi)``: those degrees, all
     nonzero, are filled by :func:`_closed_form` when one is first read."""
 
@@ -166,11 +176,12 @@ class CoefficientTable:
 
     def _embed(self) -> None:
         if self._coeffs is None:
-            t, scalar, num, order, s, e, approx = self._checked()
+            t, scalar, num, order, s, e, factor = self._checked()
             q = self.tail.q
-            if approx is None:
+            if factor is None:
                 self._coeffs = {t: scalar * _scaled_embed(num, order, q, s + e)}
             else:
+                approx = factor.value() if isinstance(factor, _Epsilons) else factor
                 self._coeffs = {t: scalar * _scaled_embed(num, order, q, s)
                                 * approx * q_power(q, e)}
             return
@@ -195,8 +206,8 @@ class CoefficientTable:
         return self.coeff(t)
 
     def modulus(self, t: int) -> mpf:
-        """``|c[t]|``: exact for a head without ``approx``, read off
-        ``moduli`` where they cover ``t``, else ``abs(coeff(t))``."""
+        """``|c[t]|``: exact for a monomial head, read off ``moduli`` where
+        they cover ``t``, else ``abs(coeff(t))``."""
         if self.head and self.head[6] is None:
             _, scalar, _, _, s, e, _ = self._checked()
             return abs(scalar) * q_power(self.tail.q, s + e)
@@ -206,16 +217,62 @@ class CoefficientTable:
         return abs(self.coeff(t))
 
     def complex128(self, t: int) -> complex:
-        """``c[t]`` in complex128, for :func:`_screen`: for a head without
-        ``approx``, its embedded root and q-power times its float rational,
-        so nothing is embedded; else ``complex(coeff(t))``."""
-        if self.head and self.head[6] is None:
-            _, scalar, num, order, s, e, _ = self._checked()
-            return complex(_scaled_embed(num, order, self.tail.q, s + e)) * float(scalar)
+        """``c[t]`` in complex128, for :func:`_screen`.  A head's is the
+        cached complex128 copy of its embedded root and q-power times its
+        float rational, times :meth:`_Epsilons.complex128` where it has
+        conductor-1 factors, so nothing is embedded; any other column's is
+        ``complex(coeff(t))``."""
+        if self.head:
+            _, scalar, num, order, s, e, factor = self._checked()
+            if factor is None or isinstance(factor, _Epsilons):
+                z = _scaled_complex(num, order, self.tail.q, s + e) * float(scalar)
+                return z if factor is None else z * factor.complex128()
         return complex(self.coeff(t))
 
     def __repr__(self):
         return f"CoefficientTable(k={self.k}, mu={self.mu!r}, {len(self.support())} coeffs)"
+
+
+@dataclass(frozen=True, slots=True)
+class _Epsilons:
+    """The numeric epsilon factors of a head read from a level's arrays,
+    kept as characters: ``eps(mu)`` when ``mu`` has conductor 1 (else
+    ``mu`` is None), over ``eps(tw1) eps(tw2)`` when a twist
+    ``tw1 = chi1 mu`` or ``tw2 = chi2 mu`` has conductor 1 (``twists``
+    empty otherwise)."""
+
+    mu: UnitCharacter | None
+    twists: tuple
+
+    def value(self) -> mpc:
+        """The factor at working precision, by :func:`_solve`'s operations
+        in its order, so bit for bit its ``approx``."""
+        approx = None if self.mu is None else epsilon_factor(self.mu)
+        if self.twists:
+            tw1, tw2 = self.twists
+            eps_tw = tw1.epsilon() * tw2.epsilon()
+            approx = 1 / eps_tw if approx is None else approx / eps_tw
+        return approx
+
+    def complex128(self) -> complex:
+        """The factor in complex128, ``(eps(mu) / eps(tw1)) / eps(tw2)``
+        multiplied from the cached copies of :func:`_epsilon128`; no ``mpc``
+        operation per column."""
+        z = 1 if self.mu is None else _epsilon128(self.mu)[0]
+        for tw in self.twists:
+            z *= _epsilon128(tw)[1]
+        return z
+
+
+# Bounded: the twists of a scan range over the characters of every level it
+# reaches, times the unramified values of its inducing characters.
+@working_cache(maxsize=4096)
+def _epsilon128(chi) -> tuple:
+    """complex128 copies of ``eps(chi)`` and ``1 / eps(chi)`` for a unit or
+    an extended character, each computed at working precision,
+    perturbation included, and converted once."""
+    eps = epsilon_factor(chi) if isinstance(chi, UnitCharacter) else chi.epsilon()
+    return complex(eps), complex(1 / eps)
 
 
 def _closed_form(parts, d_lo: int, d_hi: int) -> list:
@@ -259,18 +316,20 @@ def _no_tail(d_from: int, A: int, p: int) -> TailBound:
     return TailBound(_ZERO, _ZERO, _ZERO, d_from, A, p)
 
 
-def coefficient_table(rep: Representation, k: int,
-                      mu: UnitCharacter) -> CoefficientTable:
+def coefficient_table(rep: Representation, k: int, mu: UnitCharacter, *,
+                      arrays: bool = True) -> CoefficientTable:
     """The column (k, mu).  Columns with cond(mu) > k are identically zero
     and come back empty.  A column of a principal series or Steinberg twist
     with no Satake root is read from its level's exact arrays
     (:func:`_level_columns`), by the code that builds the level; the others
-    are solved by :func:`_solve`."""
+    are solved by :func:`_solve`.  ``arrays=False`` goes to :func:`_solve`
+    without looking: :func:`tables_for_level` passes it for the columns its
+    arrays have already left out."""
     if not 0 <= k <= rep.n:
         raise ValueError(f"level k={k} outside [0, {rep.n}]")
     if mu.conductor > k:
         return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, rep.p), ())
-    if not isinstance(rep, SupercuspidalOracle):
+    if arrays and not isinstance(rep, SupercuspidalOracle):
         i = characters_mod(rep.p, k).index(mu)
         column = _level_columns(rep, k, (i,)).get(i)
         if column is not None:
@@ -411,7 +470,8 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
     for trivial ``mu``, 1 at k = 0 and ``-zeta(1)/q`` at k = 1; then the sign
     ``omega(-1)`` and the twist's epsilon factor in the denominator.  The
     roots of unity add as numerators over one order ``M``, and the sum is
-    reduced; a conductor-1 epsilon factor enters the numeric ``approx``.
+    reduced.  A conductor-1 epsilon factor is kept as its character in the
+    head's :class:`_Epsilons` and formed only when the coefficient is read.
     """
     p = rep.p
     ps = isinstance(rep, PrincipalSeries)
@@ -446,17 +506,17 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
         if not num:
             cols[i] = CoefficientTable(k, chars[i], A, {}, _no_tail(-10**9, A, p), ())
             continue
-        approx, ramified = (epsilon_factor(chars[i]) if a == 1 else None), int(a >= 2)
+        eps_mu, twists, ramified = (chars[i] if a == 1 else None), (), int(a >= 2)
         if root1[i] >= 0 and root2[i] >= 0:
             root -= root1[i] * scale1 + root2[i] * scale2
             ramified -= (c1 > 0) + (c2 > 0)
         else:
-            eps_tw = (ExtendedCharacter(characters_mod(p, level1)[index1[i]], chis[0].pi_value).epsilon()
-                      * ExtendedCharacter(characters_mod(p, level2)[index2[i]], chis[1].pi_value).epsilon())
-            approx = 1 / eps_tw if approx is None else approx / eps_tw
+            twists = (ExtendedCharacter(characters_mod(p, level1)[index1[i]], chis[0].pi_value),
+                      ExtendedCharacter(characters_mod(p, level2)[index2[i]], chis[1].pi_value))
+        factor = _Epsilons(eps_mu, twists) if eps_mu or twists else None
         g = math.gcd(root % M, M)
         head = (e - A, perturbed(_rational(sign * num, den), ramified), root % M // g,
-                M // g, s, e, approx)
+                M // g, s, e, factor)
         cols[i] = CoefficientTable(k, chars[i], A, None, _no_tail(window + A, A, p), (),
                                    None, head)
     return cols
@@ -519,7 +579,7 @@ def tables_for_level(rep: Representation, k: int) -> Level:
     chars = characters_mod(rep.p, k)
     exact = ({} if isinstance(rep, SupercuspidalOracle)
              else _level_columns(rep, k, range(len(chars))))
-    return Level([exact.get(i) or coefficient_table(rep, k, mu)
+    return Level([exact.get(i) or coefficient_table(rep, k, mu, arrays=False)
                   for i, mu in enumerate(chars)], _window(rep), len(chars) - len(exact))
 
 
@@ -676,11 +736,17 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
 
     Scans the newvector's levels k <= n/2 over the complete representative
     domain; the tail certificates of the coefficient tables bound everything
-    beyond the window.  Each level is screened in complex128
-    (:func:`_screen`) and only the points that can reach the tie threshold
-    of the maximum are synthesized at working precision, so the result is
-    the one of synthesizing every point.  Tied values: the witness is the
-    first of them in (k, t, dlog v) order, the order of the scan.
+    beyond the window.  The scan takes two steps.  Every level is staged
+    first (:func:`_stage`): its single-live moduli are read and its other
+    points screened in complex128 (:func:`_screen`).  Then
+    :func:`_domain_values` synthesizes the largest screened point of the
+    whole domain at working precision, sets one tie floor from that value
+    and the largest single-live modulus, and synthesizes only the points at
+    or above it, in (k, t, dlog v) order.  Every point that can be the
+    maximum or tie with it is synthesized exactly as without the screen, so
+    the result is the one of synthesizing every point.  Tied values: the
+    witness is the first of them in (k, t, dlog v) order, the order of the
+    scan.
 
     The levels above n/2 hold no other moduli.  The Atkin-Lehner relation
     (:func:`atkin_lehner_reduce`) gives
@@ -700,22 +766,23 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     does not enter ``certified``, which compares the tail bound with ``h``
     by the fixed margin ``1e-12``.  A ``tolerance`` that is not a finite
     number ``>= 0`` raises ``ValueError``.
+
+    At DEBUG level the ``padwhit`` logger counts the points screened and
+    synthesized, the columns solved and read from exact arrays, the heads
+    embedded, and the conductor-1 factors formed at working precision.
     """
     if not (mp.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     n, p = rep.n, rep.p
     t_max = _window(rep)
-    h = mpf(-1)
     tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
-    cands: list[tuple] = []
-    tail_sup = mpf(0)
-    screened = synthesized = 0
     levels = [tables_for_level(rep, k) for k in range(n // 2 + 1)]
-    for k, level in enumerate(levels):
-        entries, n_screened, n_synthesized = _level_values(
-            level, character_table(p, k), -k - n, t_max, h, tie)
-        screened += n_screened
-        synthesized += n_synthesized
+    values, screened, synthesized = _domain_values(
+        [_stage(level, character_table(p, k), -k - n, t_max)
+         for k, level in enumerate(levels)], tie)
+    h = mpf(-1)
+    cands: list[tuple] = []
+    for k, entries in enumerate(values):
         threshold = h * tie
         for value, t, v in entries:
             if value > h:
@@ -723,15 +790,17 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
                 threshold = h * tie
             if value >= threshold:
                 cands.append((value, Representative(t, k, v)))
-        tail_sup = max(tail_sup, _tail_sup_level(level.columns, t_max))
+    tail_sup = max([mpf(0), *(_tail_sup_level(level, t_max) for level in levels)])
     if log.isEnabledFor(logging.DEBUG):
         solved = sum(level.solved for level in levels)
         columns = [tab for level in levels for tab in level.columns]
+        embedded = [tab.head[6] for tab in columns if tab.head and tab._coeffs is not None]
         log.debug("sup_norm %s: %d points screened in complex128, %d synthesized "
                   "at %d bits; %d columns solved by coefficient_table, %d read "
-                  "from exact arrays, %d exact heads embedded", rep.spec_string(),
+                  "from exact arrays, %d exact heads embedded, %d conductor-1 "
+                  "factors formed at working precision", rep.spec_string(),
                   screened, synthesized, mp.prec, solved, len(columns) - solved,
-                  sum(1 for tab in columns if tab.head and tab._coeffs is not None))
+                  len(embedded), sum(isinstance(f, _Epsilons) for f in embedded))
     witness = next(r for value, r in cands if value >= h * tie)
     if h < 1 - tolerance:
         raise RuntimeError(f"sup-norm {h} below 1; the solver is inconsistent")
@@ -744,26 +813,30 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     return SupNormResult(h, witness, certified, lower, upper, t_max, tail_sup)
 
 
-def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
-                  tie: mpf):
-    """Working-precision values ``(|W(g(t,k,v))|, t, v)`` of one level, in
-    (t, dlog v) order, for every point with ``lo <= t <= hi`` that can reach
-    the tie threshold ``best * tie`` of the maximum (``best``: the largest
-    value found so far); then how many points with two or more live
-    characters were screened in complex128 and how many synthesized.
+class _Stage(NamedTuple):
+    """One level of :func:`sup_norm`'s domain after :func:`_stage`."""
+
+    level: Level
+    char_values: tuple  # character_table(p, k): (units, rows, table)
+    order: list  # the rows t in [lo, hi], ascending
+    single: dict  # t -> |c| of the single-live rows that are read
+    multi: list  # the rows t with two or more live characters
+    upper: np.ndarray | None  # screened upper bound per (multi row, unit)
+
+
+def _stage(level: Level, char_values, lo: int, hi: int) -> _Stage:
+    """Step one of :func:`sup_norm` for one level and its rows
+    ``lo <= t <= hi``: read the single-live moduli and screen the rest.
     ``level.columns[i]`` is the column of the character of row i of
     ``char_values``, as :func:`tables_for_level` builds them.
 
     Points with one live character are read off exactly, and only the first
     of a column's such rows that its ``moduli`` cover, since they fall from
-    there on.  The others are
-    screened by :func:`_screen`; a point is skipped only when its upper bound
-    lies below :func:`_tie_floor` of a value already known, so every point
-    that can be the maximum or tie with it is synthesized exactly as without
-    the screen.  A coefficient outside the float64 range sends the whole
-    level to working precision.
+    there on.  The others are screened by :func:`_screen`, and ``upper``
+    bounds the working-precision value of each from above.  A coefficient
+    outside the float64 range leaves ``upper`` None, and every point of the
+    level is synthesized.
     """
-    units, rows, table = char_values
     by_t, columns = level.by_t, level.columns
     order = sorted(t for t in by_t if lo <= t <= hi)
     multi = [t for t in order if len(by_t[t]) > 1]
@@ -777,35 +850,62 @@ def _level_values(level: Level, char_values, lo: int, hi: int, best: mpf,
             single[t] = tab.modulus(t)
             if tab.moduli and tab.moduli[2] > 0 and t + tab.A >= tab.moduli[0]:
                 falling.add(by_t[t][0])
-    best = max([best, *single.values()])
     screen = _screen([[(i, columns[i].complex128(t)) for i in by_t[t]]
-                      for t in multi], table) if multi else None
-    exact: dict = {}
-    if screen is None:
-        keep = np.ones((len(multi), len(units)), dtype=bool)
-    else:
-        values, bounds = screen
-        upper = values + bounds[:, None]
-        keep = ~(upper < _tie_floor(best, tie))
-        if keep.any():
-            # The largest screened point first, to raise the floor.
-            r, j = divmod(int(np.argmax(upper)), upper.shape[1])
-            exact[r, j] = _synthesize(level.row(multi[r]), rows, j)
-            keep = ~(upper < _tie_floor(max(best, exact[r, j]), tie))
-    out = []
-    r = 0
-    for t in order:
-        if len(by_t[t]) == 1:
-            if t in single:
-                out.append((single[t], t, units[0]))
-            continue
-        for j in np.flatnonzero(keep[r]).tolist():
-            value = exact.get((r, j))
-            if value is None:
-                value = _synthesize(level.row(t), rows, j)
-            out.append((value, t, units[j]))
-        r += 1
-    return out, 0 if screen is None else keep.size, int(keep.sum())
+                      for t in multi], char_values[2]) if multi else None
+    upper = None if screen is None else screen[0] + screen[1][:, None]
+    return _Stage(level, char_values, order, single, multi, upper)
+
+
+def _domain_values(stages, tie: mpf):
+    """Step two of :func:`sup_norm`: per stage, the working-precision values
+    ``(|W(g(t,k,v))|, t, v)``, in (t, dlog v) order, of every point that
+    can reach the tie threshold ``h * tie`` of the maximum ``h`` over all
+    stages; then how many points were screened in complex128 and how many
+    synthesized.
+
+    The point with the largest screened upper bound, the first in stage
+    order on a tie, is synthesized first, unless that bound lies below the
+    :func:`_tie_floor` of the largest single-live modulus.  That value and
+    that modulus set one floor.  A point whose upper bound lies below it can
+    neither be the maximum nor tie with it, so it is skipped; every other
+    point is synthesized, by the same operations as without the screen.
+    """
+    best = max([mpf(-1), *(m for st in stages for m in st.single.values())])
+    top = None
+    for s, st in enumerate(stages):
+        if st.upper is not None and st.upper.size:
+            r, j = divmod(int(np.argmax(st.upper)), st.upper.shape[1])
+            if top is None or st.upper[r, j] > stages[top[0]].upper[top[1:]]:
+                top = s, r, j
+    if top is not None and stages[top[0]].upper[top[1:]] < _tie_floor(best, tie):
+        top = None
+    if top is not None:
+        st = stages[top[0]]
+        top_value = _synthesize(st.level.row(st.multi[top[1]]), st.char_values[1], top[2])
+        best = max(best, top_value)
+    floor = _tie_floor(best, tie)
+    out, screened, synthesized = [], 0, 0
+    for s, st in enumerate(stages):
+        units, rows, _ = st.char_values
+        if st.upper is None:
+            keep = np.ones((len(st.multi), len(units)), dtype=bool)
+        else:
+            keep = ~(st.upper < floor)
+            screened += keep.size
+        synthesized += int(keep.sum())
+        entries, r = [], 0
+        for t in st.order:
+            if len(st.level.by_t[t]) == 1:
+                if t in st.single:
+                    entries.append((st.single[t], t, units[0]))
+                continue
+            for j in np.flatnonzero(keep[r]).tolist():
+                value = (top_value if (s, r, j) == top
+                         else _synthesize(st.level.row(t), rows, j))
+                entries.append((value, t, units[j]))
+            r += 1
+        out.append(entries)
+    return out, screened, synthesized
 
 
 def _synthesize(live, rows, j: int) -> mpf:
@@ -833,15 +933,35 @@ def _screen(multi, table):
     A-priori bound (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., ch. 3), with ``m`` characters, ``u = 2^-53``,
     ``w = 2^-prec`` (``w <= u``), ``gamma_k = k u / (1 - k u)`` and
-    ``P = sum_i |c_i| |chi_i(v)|``, where ``|chi_i(v)| <= 1 + 2w``:
+    ``P = sum_i |c_i| |chi_i(v)|``, where ``|chi_i(v)| <= 1 + 2w``.  An
+    mpmath operation or a conversion to complex128 errs by at most ``w``,
+    resp. ``2u`` (mpmath may round toward zero), relative per part; a
+    q-power or a division, with its guard bits, by ``2w``; a complex128
+    product by a real by ``u``, and one of two complex numbers by
+    ``sqrt(2) gamma_2 < 2.9u``.
 
-    * each ``z_i`` is within ``alpha |c_i|`` of the working-precision
-      coefficient ``c_i``, ``alpha = 5u + w`` to first order.  An exact
-      monomial's ``c_i = r Z`` is its rational ``r`` times its embedded root
-      and q-power ``Z``, rounded once (``w``); its ``z_i`` is ``Z`` and
-      ``r`` converted to complex128 and float, each part by at most 2u
-      relative (mpmath may round toward zero), and multiplied once (``u``).
-      Any other ``z_i`` is ``c_i`` converted, within 2u;
+    * Each ``z_i`` is within ``alpha |c_i|`` of the working-precision
+      coefficient ``c_i``:
+
+      - a column that is not a head: ``z_i`` is ``c_i`` converted,
+        ``alpha = 2u``;
+      - an exact monomial: ``c_i = r Z`` is its rational ``r`` times its
+        embedded root and q-power ``Z``, rounded once (``w``); ``z_i`` is
+        ``Z`` and ``r`` converted (2u each) and multiplied (u):
+        ``alpha = 5u + w``;
+      - a head with conductor-1 factors: measure both from the exact
+        ``X = r zeta q^(-(s+e)/2) E_mu / (E_1 E_2)`` of its embedded root
+        ``zeta`` and the working-precision epsilon values ``E``
+        (:class:`_Epsilons`).  ``c_i = ((r Z_s) A) Q_e``, with ``Z_s``
+        within 3w of ``zeta q^(-s/2)`` (a q-power and a product), ``Q_e``
+        within 2w of ``q^(-e/2)`` and ``A = E_mu / (E_1 E_2)``; its four
+        products and one division add 6w, so ``c_i`` is within 11w of
+        ``X``.
+        ``z_i = (Z_(s+e) r) ((E_mu 1/E_1) 1/E_2)``, from ``Z_(s+e)`` (3w),
+        the five conversions of ``Z_(s+e)``, ``r``, ``E_mu``, ``1/E_1`` and
+        ``1/E_2`` (10u), the two working-precision reciprocals (4w), the
+        product by ``r`` (u) and three complex products (8.7u), is within
+        ``19.7u + 7w`` of ``X``.  So ``alpha = 19.7u + 18w``;
     * converting ``chi_i(v)`` adds 2u, so each product moves by at most
       ``(alpha + 2u + 2 alpha u) |c_i| |chi_i(v)|``;
     * the real and imaginary parts of the product are real inner products
@@ -852,11 +972,11 @@ def _screen(multi, table):
     * the working-precision loop itself errs by at most
       ``sqrt(2) gamma^w_2m P + w |W|``.
 
-    That is ``(2.9 m + 8.1)(u + w) P`` to first order.  The bound used,
-    ``(4 m + 12)(u + w) sum_i |z_i|``, leaves room for the second-order
+    That is ``(2.9 m + 22.7)(u + w) P`` to first order.  The bound used,
+    ``(4 m + 32)(u + w) sum_i |z_i|``, leaves room for the second-order
     terms, for ``P <= (1 + 2w)(1 + 2u)(1 + alpha) sum_i |z_i|`` and for the
-    rounding of the bound itself; ``(20 m + 16) 2^-1074`` covers underflow,
-    the product that forms a monomial's ``z_i`` included.
+    rounding of the bound itself; ``(30 m + 16) 2^-1074`` covers underflow,
+    the up to four products that form a head's ``z_i`` included.
     """
     m = table.shape[0]
     coeffs = np.zeros((len(multi), m), dtype=np.complex128)
@@ -866,8 +986,8 @@ def _screen(multi, table):
     if not np.isfinite(coeffs).all():
         return None
     w = math.ldexp(1.0, -mp.prec)
-    bounds = ((4 * m + 12) * (_F64_U + w) * np.abs(coeffs).sum(axis=1)
-              + (20 * m + 16) * _F64_ETA)
+    bounds = ((4 * m + 32) * (_F64_U + w) * np.abs(coeffs).sum(axis=1)
+              + (30 * m + 16) * _F64_ETA)
     return np.abs(coeffs @ table), bounds
 
 
@@ -884,9 +1004,9 @@ def _tie_floor(best: mpf, tie: mpf) -> float:
     return float(best * tie) * (1 - 4 * (_F64_U + math.ldexp(1.0, -mp.prec)))
 
 
-def _tail_sup_level(tables, t_max: int) -> mpf:
+def _tail_sup_level(level: Level, t_max: int) -> mpf:
     """Certified sup over t > t_max of the synthesized value bound
-    sum_mu |c[t,k](mu)|: its value at t_max + 1.
+    sum_mu |c[t,k](mu)| of one level: its value at t_max + 1.
 
     Every tail bound decreases in t.  Its ``a0 >= a1 d_from`` and
     ``d_from >= 20``, and the Satake parameters of a unitary representation
@@ -897,15 +1017,15 @@ def _tail_sup_level(tables, t_max: int) -> mpf:
     of the stored tail bounds.  Counting roundings, with every integer power
     as two, ``a0 + a1 s`` is within 2, times ``rho^s`` within 5, times
     ``q^(-d/2)`` (two) within 8; the terms are positive, so summing ``m``
-    columns from zero adds ``m - 1``: ``k = m + 7``.
+    columns from zero adds ``m - 1``: ``k = m + 7``.  Only the columns with
+    partial fractions (``level.tails``) are read: the others have an
+    identically zero tail, whose exact zeros would change no bit of the
+    sum, but each still counts in ``m``.
     """
-    # Columns without Satake roots have an identically zero tail; adding
-    # their exact zeros would change no bit of the sum.
     sup = mpf(0)
-    for tab in tables:
-        if tab.tail.a0 or tab.tail.a1:
-            sup += tab.tail.coeff_bound(t_max + 1)
-    return _rounded_up(sup, len(tables) + 7)
+    for _, tab in level.tails:
+        sup += tab.tail.coeff_bound(t_max + 1)
+    return _rounded_up(sup, len(level.columns) + 7)
 
 
 def lower_bound_witness(rep: Representation) -> Representative:

@@ -66,13 +66,23 @@ def approx_equal(a, b, tol=TOL_USER) -> bool:
 _canary = [mpf(0), 0.0]
 
 
-@contextmanager
 def perturb_epsilon(delta):
-    """Multiply every ramified epsilon factor by ``(1 + delta)``, ``delta``
-    rounded to a double.  Canary hook for testing that the verification
-    harness actually detects wrong constants."""
-    old = _canary[:]
+    """Context manager that multiplies every ramified epsilon factor by
+    ``(1 + delta)``, ``delta`` rounded to a double.  Canary hook for testing
+    that the verification harness actually detects wrong constants.
+
+    The rounded ``delta`` must be finite and ``> -1``, else ``ValueError``
+    is raised here, before any value moves: ``-1`` zeroes the factors that
+    the solver divides by, and nan or inf leaves no finite value to scan."""
     key = float(delta)
+    if not (math.isfinite(key) and key > -1):
+        raise ValueError(f"epsilon perturbation must be finite and > -1, got {delta}")
+    return _perturbation(key)
+
+
+@contextmanager
+def _perturbation(key: float):
+    old = _canary[:]
     _canary[:] = [mpf(key), key]
     try:
         yield
@@ -220,6 +230,12 @@ def q_power(q: int, s: int) -> mpf:
 @working_cache(maxsize=4096)
 def _scaled_embed(num: int, order: int, q: int, s: int) -> mpc:
     return _embed(num, order) * q_power(q, s)
+
+
+@working_cache(maxsize=4096)
+def _scaled_complex(num: int, order: int, q: int, s: int) -> complex:
+    """:func:`_scaled_embed` converted to complex128 once."""
+    return complex(_scaled_embed(num, order, q, s))
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,24 @@ def test_verify_manifest_golden(tmp_path, capsys):
     assert "below 1; the solver is inconsistent" in sandwich["worst_case"]
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "-1", "-2"])
+def test_verify_refuses_an_unusable_canary(tmp_path, capsys, monkeypatch, delta):
+    # Refused with a usage line before any check runs, and no manifest.
+    import padwhit.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(padwhit.cli, "run_suite", refuse)
+    out = tmp_path / "report.json"
+    code, _, err = run_cli(capsys, "verify", "--suite", "gl1", "--p", "3",
+                           f"--perturb-eps={delta}", "--out", str(out))
+    assert code == 2
+    assert "usage error: --perturb-eps must be finite and > -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_cli_pass_and_canary(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, err = run_cli(

@@ -406,7 +406,7 @@ def test_tails_are_rounded_up(bits):
             t_max = engine._window(rep)
             for k in range(rep.n + 1):
                 _, tail = lambda_sq_sum(rep, k)
-                sup = engine._tail_sup_level(tables_for_level(rep, k).columns, t_max)
+                sup = engine._tail_sup_level(tables_for_level(rep, k), t_max)
                 squares, first = _tail_oracles(rep, k)
                 spec = f"{rep.spec_string()} k={k}"
                 assert tail >= squares, spec
@@ -551,7 +551,8 @@ def test_exact_columns_match_the_solve_bit_for_bit(monkeypatch):
     # Every column a level reads from its exact arrays against the
     # functional-equation solve of the same column, with the twists
     # multiplied by evaluating the characters: the same head bit for bit,
-    # and so the same coefficient; coefficient_table returns that column.
+    # its lazy conductor-1 factor resolved to the solve's mpc, and so the
+    # same coefficient; coefficient_table returns that column.
     from padwhit import representations
 
     family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
@@ -568,7 +569,13 @@ def test_exact_columns_match_the_solve_bit_for_bit(monkeypatch):
     for rep, k, mu, tab in built:
         want = engine._solve(rep, k, mu, rep.twist_data(mu))
         where = (rep.spec_string(), k, mu)
-        assert (tab.A, tab.head, tab.parts) == (want.A, want.head, want.parts), where
+        assert (tab.A, tab.parts) == (want.A, want.parts), where
+        assert (tab.head is None) == (want.head is None), where
+        if tab.head is not None:
+            factor = tab.head[6]
+            assert factor is None or isinstance(factor, engine._Epsilons), where
+            assert tab.head[:6] == want.head[:6], where
+            assert (None if factor is None else factor.value()) == want.head[6], where
         assert tab.coeffs == want.coeffs, where
         kind = "zero" if tab.head is None else "monomial" if tab.head[6] is None else "approx"
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -1108,6 +1115,37 @@ def test_sup_norm_solves_only_the_newvector_levels(monkeypatch):
         assert [k for _, k in solved] == list(range(rep.n // 2 + 1)), spec
 
 
+def test_sup_norm_synthesizes_only_above_the_descriptor_floor(monkeypatch):
+    # One tie floor for the whole domain: the points synthesized are those
+    # whose screened upper bound reaches the floor of the final h, plus at
+    # most the largest screened point, synthesized first to set the floor.
+    screens, calls = [], []
+    screen, synthesize = engine._screen, engine._synthesize
+
+    def record(multi, table):
+        screens.append(screen(multi, table))
+        return screens[-1]
+
+    def count(*args):
+        calls.append(args)
+        return synthesize(*args)
+
+    monkeypatch.setattr(engine, "_screen", record)
+    monkeypatch.setattr(engine, "_synthesize", count)
+    tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
+    above = 0
+    for rep in standard_family(3, 5) + standard_family(5, 3):
+        screens.clear()
+        calls.clear()
+        floor = engine._tie_floor(sup_norm(rep).h, tie)
+        assert None not in screens, rep.spec_string()
+        reach = sum(int((~(values + bounds[:, None] < floor)).sum())
+                    for values, bounds in screens)
+        assert reach <= len(calls) <= reach + 1, rep.spec_string()
+        above += reach
+    assert above > 500
+
+
 def _random_rows(rng, n_chars, count):
     """``count`` rows of live (index, coefficient), magnitudes over 1e-30..1e8."""
     rows = []
@@ -1142,10 +1180,11 @@ def test_screen_bound_holds_on_random_coefficients(bits):
 def test_screen_bound_holds_against_512_bit_values(bits):
     # One-sided: every screened value, from the complex128 coefficients the
     # levels give the screen, lies within its bound of |W| synthesized at
-    # 512 bits from the same descriptor's 512-bit levels.
+    # 512 bits from the same descriptor's 512-bit levels.  The rows cover
+    # heads whose conductor-1 factors the screen reads in complex128.
     old = get_precision()
     try:
-        rows = 0
+        rows = heads = 0
         for rep in SCREEN_FAMILY:
             for k in range(rep.n // 2 + 1):
                 set_precision(bits)
@@ -1154,6 +1193,9 @@ def test_screen_bound_holds_against_512_bit_values(bits):
                 multi = [t for t in sorted(level.by_t) if len(level.by_t[t]) > 1]
                 if not multi:
                     continue
+                heads += sum(isinstance(tab.head[6], engine._Epsilons)
+                             for tab in (level.columns[i] for t in multi
+                                         for i in level.by_t[t]) if tab.head)
                 values, bounds = engine._screen(
                     [[(i, level.columns[i].complex128(t)) for i in level.by_t[t]]
                      for t in multi], table)
@@ -1169,6 +1211,7 @@ def test_screen_bound_holds_against_512_bit_values(bits):
                             (bits, rep.spec_string(), k, t, j)
                     rows += 1
         assert rows > 500
+        assert heads > 500
     finally:
         set_precision(old)
 
@@ -1186,7 +1229,9 @@ def test_screen_falls_back_on_non_finite_coefficient():
         level = engine.Level([engine.CoefficientTable(k, mu, 0, c, None, ())
                               for mu, c in zip(characters_mod(p, k), coeffs)],
                              hi)
-        return engine._level_values(level, char_values, lo, hi, mpf(-1), tie)
+        [entries], screened, synthesized = engine._domain_values(
+            [engine._stage(level, char_values, lo, hi)], tie)
+        return entries, screened, synthesized
 
     entries, screened, synthesized = level(coeffs)
     assert screened == (hi - lo + 1) * len(units)
@@ -1218,8 +1263,8 @@ def test_screen_keeps_near_ties():
             [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)}, None, ())
              for mu in characters_mod(p, k)], 1)
         tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
-        entries, screened, _ = engine._level_values(level, char_values, 0, 1,
-                                                    mpf(-1), tie)
+        [entries], screened, _ = engine._domain_values(
+            [engine._stage(level, char_values, 0, 1)], tie)
         assert screened == 2 * len(units)
         top = max(value for value, _, _ in entries)
         assert top == 2
@@ -1231,6 +1276,7 @@ def test_screen_keeps_near_ties():
 
 def test_sup_norm_logs_screen_counts(caplog):
     rep = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))
+    engine.tables_for_level.cache_clear()  # count this scan's embeddings only
     with caplog.at_level(logging.DEBUG, logger="padwhit"):
         sup_norm(rep)
     [msg] = [r.getMessage() for r in caplog.records
@@ -1252,6 +1298,14 @@ def test_sup_norm_logs_screen_counts(caplog):
     assert solved == sum(level.solved for level in levels) == 1
     assert solved + built == sum(len(level.columns) for level in levels)
     assert 0 < embedded < built
+    # Conductor-1 factors are formed only for the heads that were read at
+    # working precision.
+    match = re.search(r"(\d+) conductor-1 factors formed at working precision", msg)
+    assert match, msg
+    formed = int(match.group(1))
+    heads = sum(isinstance(tab.head[6], engine._Epsilons)
+                for level in levels for tab in level.columns if tab.head)
+    assert 0 < formed < heads
 
 
 def test_sup_norm_logs_why_not_certified(caplog, monkeypatch):
@@ -1259,7 +1313,7 @@ def test_sup_norm_logs_why_not_certified(caplog, monkeypatch):
     with caplog.at_level(logging.INFO, logger="padwhit"):
         assert sup_norm(rep).certified
     assert not [r for r in caplog.records if r.levelno >= logging.INFO]
-    monkeypatch.setattr(engine, "_tail_sup_level", lambda tables, t_max: mpf(10))
+    monkeypatch.setattr(engine, "_tail_sup_level", lambda level, t_max: mpf(10))
     with caplog.at_level(logging.INFO, logger="padwhit"):
         res = sup_norm(rep)
     assert not res.certified
@@ -1274,7 +1328,7 @@ def test_sup_norm_logging_silent_by_default():
         "from mpmath import mpf\n"
         "from padwhit import engine\n"
         "from padwhit.representations import parse_rep\n"
-        "engine._tail_sup_level = lambda tables, t_max: mpf(10)\n"
+        "engine._tail_sup_level = lambda level, t_max: mpf(10)\n"
         "rep = parse_rep('ps', '3^2:1@0/1,3^0:0@0/1')\n"
         "assert not engine.sup_norm(rep).certified\n"
     )

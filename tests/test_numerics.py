@@ -11,6 +11,7 @@ from padwhit.numerics import (
     expand_geometric,
     get_precision,
     perturb_epsilon,
+    perturbed,
     set_precision,
     unity_sum,
     unity_table,
@@ -264,6 +265,21 @@ def test_working_cache_keys_on_precision_and_canary():
     third.cache_clear()
     assert third.cache_info().currsize == 0
     assert third(1) is not first
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), -1,
+                                   -1.5, mpf("nan"), mpf(-1) + mpf(2) ** -60])
+def test_perturb_epsilon_refuses_an_unusable_delta(delta):
+    # Refused at the call, before the canary moves: -1 (or a delta that
+    # rounds to it as a double) zeroes every ramified epsilon factor, and
+    # nan or inf leaves no finite value.
+    with pytest.raises(ValueError, match="finite and > -1"):
+        perturb_epsilon(delta)
+    with perturb_epsilon(0.0):
+        pass
+    with perturb_epsilon(-0.5):
+        assert perturbed(mpf(1)) == mpf("0.5")
+    assert perturbed(mpf(1)) == 1
 
 
 @pytest.mark.parametrize("bits", [53, 128])
