@@ -69,7 +69,7 @@ from .numerics import (
     working_cache,
     working_state,
 )
-from .padics import PAdicApprox, psi_eval, split_rational, unit_group
+from .padics import split_integers, unit_group
 from .representations import (
     PrincipalSeries,
     Representation,
@@ -597,6 +597,9 @@ def _validate_rep_triple(rep: Representation, r: Representative) -> None:
         raise ValueError(f"v={r.v} is not a unit at p={rep.p}")
 
 
+_NO_VALUE = mpc(0)  # an empty row's exact value; mpc values are immutable
+
+
 def whittaker_value(rep: Representation, r: Representative,
                     direct: bool = False) -> mpc:
     """Value of the normalized newvector at the representative ``r``.
@@ -607,28 +610,36 @@ def whittaker_value(rep: Representation, r: Representative,
     cached character table.  Otherwise one Atkin-Lehner reduction to the
     contragredient, read off the newvector's own level ``n - k`` as
     ``W(g(t,k,v)) = phase omega(-1) conj W(g(t + 2k - n, n - k, v))``
-    (:func:`atkin_lehner_reduce`, :func:`conjugate_value`).
+    (:func:`atkin_lehner_reduce`, :func:`conjugate_value`).  The live set of
+    the row synthesized is read right after the triple is validated: an
+    empty row is the exact ``mpc(0)``, with no phase, character-table row or
+    unit index formed.
     """
     _validate_rep_triple(rep, r)
-    n = rep.n
-    if r.t < -r.k - n:
-        return mpc(0)
-    if 2 * r.k > n and not direct:
-        phase, reduced = atkin_lehner_reduce(rep, r)
-        return phase * conjugate_value(rep, reduced)
-    p, k = rep.p, r.k
-    rows = character_table(p, k)[1]
-    j = unit_group(p, k).index(r.v)
-    total = mpc(0)
-    for i, c in tables_for_level(rep, k).live(r.t):
+    n, k, t = rep.n, r.k, r.t
+    if t < -k - n:
+        return _NO_VALUE
+    reflect = 2 * k > n and not direct
+    if reflect:
+        k, t = n - k, t + 2 * k - n
+    live = tables_for_level(rep, k).live(t)
+    if not live:
+        return _NO_VALUE
+    rows = character_table(rep.p, k)[1]
+    j = unit_group(rep.p, k).index(r.v)
+    total = _NO_VALUE
+    for i, c in live:
         total += c * rows[i][j]
-    return total
+    if not reflect:
+        return total
+    w = total.conjugate()
+    return atkin_lehner_reduce(rep, r)[0] * (w if rep.omega.at_minus_one().is_one() else -w)
 
 
 def conjugate_value(rep: Representation, r: Representative) -> mpc:
     """Value of the opposite-invariance variant; equals the contragredient's
     newvector on every representative, ``omega(-1) conj W(g(t,k,-v))`` for
-    unitary ``pi``."""
+    unitary ``pi``, with :func:`whittaker_value`'s zero-row shortcut."""
     w = whittaker_value(rep, Representative(r.t, r.k, -r.v)).conjugate()
     return w if rep.omega.at_minus_one().is_one() else -w
 
@@ -638,18 +649,15 @@ def atkin_lehner_reduce(rep: Representation, r: Representative):
     ``W(r) = phase * W~(g(t + 2k - n, n - k, -v))`` for the contragredient
     newvector W~; the phase has modulus 1.  Its constant is the
     contragredient's root number, read off ``rep`` as
-    ``eps(1/2, pi (x) omega^-1)``."""
+    ``eps(1/2, pi (x) omega^-1)``; its root, ``omega(v)^-1`` times
+    ``psi(-v^-1 p^(t+k))``, is formed as one reduced :class:`RootOfUnity`."""
     _validate_rep_triple(rep, r)
-    n, p = rep.n, rep.p
-    phase_root = rep.omega.eval_unit(r.v).inverse()
-    s = r.t + r.k
-    if s < 0:
-        mod = p**-s
-        phase_root = phase_root * RootOfUnity(-pow(r.v, -1, mod), mod)
+    n, p, v = rep.n, rep.p, r.v
+    omega, mod = rep.omega.eval_unit(v), p ** max(-r.t - r.k, 0)
+    root = RootOfUnity(-omega.num * mod - pow(v, -1, mod) * omega.order, omega.order * mod)
     k2 = n - r.k
-    v2 = (-r.v) % (p ** max(k2, 1))
-    reduced = Representative(r.t + 2 * r.k - n, k2, v2)
-    return _dual(rep) * phase_root.embed(), reduced
+    reduced = Representative(r.t + 2 * r.k - n, k2, (-v) % (p ** max(k2, 1)))
+    return _dual(rep) * root.embed(), reduced
 
 
 def _rounded_up(value: mpf, k: int) -> mpf:
@@ -1112,57 +1120,67 @@ class Mat2:
         return cls(p, *(Fraction(x) for x in entries))
 
 
+def _decompose(g: Mat2, n: int):
+    """:func:`decompose_matrix` with ``u`` and ``x`` as ``(e, num, den)``,
+    ``p^e num / den`` (``num = 0`` for 0): valuations and unit parts read off
+    integer numerators and denominators (``det``'s over all four)."""
+    p, a, b, c, d = g.p, g.a, g.b, g.c, g.d
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+    det = an * dn * bd * cd - bn * cn * ad * dd
+    if not det:
+        raise ValueError("matrix is singular")
+    t_det, det_n, det_d = split_integers(p, det, ad * dd * bd * cd)
+    C = split_integers(p, cn, cd) if cn else None
+    D = split_integers(p, dn, dd) if dn else None
+    k = n if C is None else 0 if D is None else min(max(C[0] - D[0], 0), n)
+    if k == n:
+        # The lower-triangular kappa [[1, 0], [-c/d, 1]] lies in the level-n
+        # subgroup and zeroes c, leaving the upper-left entry det/d; peel
+        # z(d) n(b/d) a(y) off the upper triangular result and canonicalize
+        # the level-n representative to v = 1.  u = -det/d p^(n - t_y), and
+        # x = b/d + p^s = p^m (p^(e - m) num/den + p^(s - m)), m = min(e, s).
+        vd, d_num, d_den = D
+        t_y = t_det - 2 * vd
+        e, num, den = split_integers(p, bn, bd) if bn else (0, 0, 1)
+        e, num, den, s = e - vd, num * d_den, den * d_num, t_y - n
+        m = min(e, s)
+        x = num * p ** (e - m) + den * p ** (s - m)
+        f, x, den = split_integers(p, x, den) if x else (0, 0, 1)
+        u = (n + vd, -det_n * d_den, det_d * d_num)
+        return u, (m + f, x, den), Representative(t_y - 2 * n, n, 1)
+    # u = -c and x = a/c.  v is the unit -y p^k / delta, with
+    # delta = det p^-t / c^2 and y = -e/c: e = d, unless d/c is integral
+    # (k = 0), where a unipotent kappa on the right slides y to -1 and e = c.
+    vc, c_num, c_den = C
+    E = C if D is None or D[0] > vc else D
+    mod = p ** max(k, 1)
+    v = c_num * E[1] * det_d * pow(c_den * E[2] * det_n, -1, mod) % mod
+    A = split_integers(p, an, ad) if an else (0, 0, 1)
+    x = (A[0] - vc, A[1] * c_den, A[2] * c_num)
+    return (vc, -c_num, c_den), x, Representative(t_det - 2 * vc, k, v)
+
+
 def decompose_matrix(g: Mat2, n: int):
     """Write ``g = z(u) n(x) g(t,k,v) kappa`` with kappa in the level-n
     subgroup (upper-left entry 1 mod p^n, lower-left entry in p^n Z_p).
 
     Returns ``(u, x, Representative(t, k, v))``: ``u`` and ``x`` are exact
-    ``Fraction``s and ``v`` is an integer representing its class mod p^k.
+    ``Fraction``s, formed last from :func:`_decompose`'s integers, and ``v``
+    is an integer representing its class mod p^k.
     """
-    p, a, b, c, d = g.p, g.a, g.b, g.c, g.d
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("matrix is singular")
-    t_det = split_rational(p, det)[0]
-    vc = split_rational(p, c)[0] if c else None
-    vd = split_rational(p, d)[0] if d else None
-    if vc is None:
-        k = n
-    elif vd is None:
-        k = 0
-    else:
-        k = min(max(vc - vd, 0), n)
-
-    if k == n:
-        # The lower-triangular kappa [[1, 0], [-c/d, 1]] lies in the level-n
-        # subgroup and zeroes c, leaving the upper-left entry det/d; peel
-        # z(d) n(b/d) a(y) off the upper triangular result and canonicalize
-        # the level-n representative to v = 1.
-        t_y = t_det - 2 * vd
-        u = -det / d * Fraction(p) ** (n - t_y)
-        x = b / d + Fraction(p) ** (t_y - n)
-        return u, x, Representative(t_y - 2 * n, n, 1)
-
-    # u = -c and x = a/c.  v is the unit -y p^k / delta, with
-    # delta = det p^-t / c^2 and y = -e/c: e = d, unless d/c is integral
-    # (k = 0), where a unipotent kappa on the right slides y to -1 and e = c.
-    t = t_det - 2 * vc
-    e = c if vd is None or vd > vc else d
-    v = c * e * Fraction(p) ** (k + t) / det
-    mod = p ** max(k, 1)
-    return -c, a / c, Representative(t, k, v.numerator * pow(v.denominator, -1, mod) % mod)
+    u, x, r = _decompose(g, n)
+    return (*(Fraction(num, den) * Fraction(g.p) ** e for e, num, den in (u, x)), r)
 
 
 def reduce_matrix(rep: Representation, g: Mat2):
-    """Phases and representative with ``W(g) = psi_phase * omega_phase * W(g(t,k,v))``."""
-    u, x, r = decompose_matrix(g, rep.n)
-    p = rep.p
-    psi_phase = ONE
-    if x:
-        t, num, den = split_rational(p, x)
-        if t < 0:
-            psi_phase = psi_eval(PAdicApprox(p, t, num * pow(den, -1, p**-t), -t))
-    _, num, den = split_rational(p, u)
+    """Phases and representative with ``W(g) = psi_phase * omega_phase * W(g(t,k,v))``:
+    ``psi(x)`` and ``omega(u)`` of :func:`decompose_matrix`'s ``u`` and ``x``,
+    read off their integer unit parts (:func:`_decompose`), no ``Fraction``
+    or ``PAdicApprox`` formed."""
+    (_, u_num, u_den), (e, num, den), r = _decompose(g, rep.n)
+    p, psi_phase = rep.p, ONE
+    if num and e < 0:
+        psi_phase = RootOfUnity(num * pow(den, -1, p**-e), p**-e)
     mod = p ** max(rep.m, 1)
-    omega_phase = rep.omega.eval_unit(num * pow(den, -1, mod) % mod)
-    return psi_phase, omega_phase, r
+    return psi_phase, rep.omega.eval_unit(u_num * pow(u_den, -1, mod) % mod), r

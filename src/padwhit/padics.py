@@ -1,10 +1,11 @@
 """Bookkeeping for the base field Q_p.
 
 A nonzero rational splits exactly as ``p^t * num/den`` with ``num`` and
-``den`` prime to p (:func:`split_rational`); that is all the matrix route
-needs.  A point of the additive character is a :class:`PAdicApprox`,
-``p^t * u`` with ``u`` a unit residue modulo ``p^K``; ``psi`` of conductor
-Z_p evaluates it to an exact root of unity.  Unit groups ``(Z/p^a)^x`` come
+``den`` prime to p (:func:`split_rational`, or :func:`split_integers` on a
+numerator and denominator); that is all the matrix route needs.  A point
+of the additive character is a :class:`PAdicApprox`, ``p^t * u`` with
+``u`` a unit residue modulo ``p^K``; ``psi`` of conductor Z_p evaluates it
+to an exact root of unity.  Unit groups ``(Z/p^a)^x`` come
 with canonical generators and a full discrete-log table, which is what
 character evaluation and enumeration run on.
 """
@@ -40,7 +41,12 @@ def split_rational(p: int, x) -> tuple[int, int, int]:
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no valuation")
-    num, den = x.numerator, x.denominator
+    return split_integers(p, x.numerator, x.denominator)
+
+
+def split_integers(p: int, num: int, den: int) -> tuple[int, int, int]:
+    """:func:`split_rational` of ``num / den``, ``num != 0``, read off the
+    integers themselves, which need not be in lowest terms."""
     t = 0
     while num % p == 0:
         num //= p

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from mpmath import mp, mpc, mpf
@@ -109,10 +109,21 @@ class Representation:
     def spec_string(self) -> str:
         raise NotImplementedError
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __hash__(self) -> int:
+        """The dataclass hash, kept: descriptors key the level caches.  Each
+        class binds it in its body, where ``dataclass`` leaves it alone."""
+        return self._hash
+
 
 @dataclass(frozen=True)
 class PrincipalSeries(Representation):
     """chi1 boxplus chi2; stored with cond(chi1) >= cond(chi2)."""
+
+    __hash__ = Representation.__hash__
 
     chi1: ExtendedCharacter
     chi2: ExtendedCharacter
@@ -193,6 +204,8 @@ class PrincipalSeries(Representation):
 class SteinbergTwist(Representation):
     """xi . St with xi unitary and xi(p)^2 = 1."""
 
+    __hash__ = Representation.__hash__
+
     xi: ExtendedCharacter
 
     def __post_init__(self):
@@ -263,6 +276,8 @@ class SupercuspidalOracle(Representation):
     n_: int
     omega_: UnitCharacter
     twists: tuple  # sorted tuple of (UnitCharacter, int, mpc)
+
+    __hash__ = Representation.__hash__
 
     def __post_init__(self):
         if self.n_ < 2:

@@ -38,7 +38,6 @@ from .engine import (
     Mat2,
     Representative,
     atkin_lehner_reduce,
-    coefficient_table,
     conjugate_value,
     lambda_sq_sum,
     lower_bound_witness,
@@ -422,7 +421,8 @@ def check_closed_forms(rep: Representation) -> CheckReport:
     """Solver columns of principal series against the independent closed
     forms: single support at t = -k - n for one ramified factor (k >= 1),
     single support at the twisted conductor for two ramified factors and
-    generic twists."""
+    generic twists.  The columns are the level's own, as
+    :func:`tables_for_level` holds them."""
     report = CheckReport(
         "closed-form-columns",
         "principal-series solver columns equal their epsilon/Gauss closed forms",
@@ -434,8 +434,7 @@ def check_closed_forms(rep: Representation) -> CheckReport:
         return report
     n, p = rep.n, rep.p
     for k in range(n // 2 + 1):
-        for mu in characters_mod(p, k):
-            tab = coefficient_table(rep, k, mu)
+        for mu, tab in zip(characters_mod(p, k), tables_for_level(rep, k).columns):
             tw1, tw2 = rep.chi1.twist(mu), rep.chi2.twist(mu)
             if rep.chi2.conductor == 0:
                 if k == 0:

@@ -1531,3 +1531,109 @@ def test_representative_domain_guards():
         whittaker_value(rep, Representative(0, rep.n + 1, 1))
     with pytest.raises(ValueError):
         whittaker_value(rep, Representative(0, 0, rep.p))
+
+
+def _fraction_decompose(g: Mat2, n: int):
+    """decompose_matrix in Fraction arithmetic, as the engine computed it
+    before its valuations were read off integers: the oracle."""
+    p, a, b, c, d = g.p, g.a, g.b, g.c, g.d
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("matrix is singular")
+    t_det = split_rational(p, det)[0]
+    vc = split_rational(p, c)[0] if c else None
+    vd = split_rational(p, d)[0] if d else None
+    if vc is None:
+        k = n
+    elif vd is None:
+        k = 0
+    else:
+        k = min(max(vc - vd, 0), n)
+    if k == n:
+        t_y = t_det - 2 * vd
+        u = -det / d * Fraction(p) ** (n - t_y)
+        x = b / d + Fraction(p) ** (t_y - n)
+        return u, x, Representative(t_y - 2 * n, n, 1)
+    t = t_det - 2 * vc
+    e = c if vd is None or vd > vc else d
+    v = c * e * Fraction(p) ** (k + t) / det
+    mod = p ** max(k, 1)
+    return -c, a / c, Representative(t, k, v.numerator * pow(v.denominator, -1, mod) % mod)
+
+
+def _fraction_reduce(rep, g: Mat2):
+    """reduce_matrix on :func:`_fraction_decompose`, with psi evaluated on a
+    ``PAdicApprox``: the oracle."""
+    u, x, r = _fraction_decompose(g, rep.n)
+    p = rep.p
+    psi_phase = ONE
+    if x:
+        t, num, den = split_rational(p, x)
+        if t < 0:
+            psi_phase = psi_eval(PAdicApprox(p, t, num * pow(den, -1, p**-t), -t))
+    _, num, den = split_rational(p, u)
+    mod = p ** max(rep.m, 1)
+    return psi_phase, rep.omega.eval_unit(num * pow(den, -1, mod) % mod), r
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_matrix_reduction_matches_the_fraction_oracle(p):
+    mats = _random_matrices(random.Random(f"oracle/{p}"), p, 600)
+    # Entries of negative valuation at odd p, which a stream of dyadic float
+    # entries never holds.
+    assert any(split_rational(p, x)[0] < 0 for g in mats for x in (g.a, g.b, g.c, g.d) if x)
+    family = standard_family(p, 4)
+    reps = []
+    for n in range(1, 5):
+        level = sorted((rep for rep in family if rep.n == n), key=lambda rep: rep.m)
+        reps += [level[0], level[-1]]
+    assert {rep.n for rep in reps} == {1, 2, 3, 4}
+    for n in range(1, 5):
+        for g in mats:
+            assert decompose_matrix(g, n) == _fraction_decompose(g, n), (g, n)
+
+    def mismatches(reduce) -> int:
+        return sum(reduce(rep, g) != _fraction_reduce(rep, g) for rep in reps for g in mats)
+
+    assert mismatches(reduce_matrix) == 0
+    # A planted mutation that drops psi(x) where v(x) < 0 is caught.
+    assert mismatches(lambda rep, g: (ONE, *reduce_matrix(rep, g)[1:])) > 0
+
+
+def test_zero_rows_keep_the_triple_guards():
+    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 1, [1]))
+    n, p = rep.n, rep.p
+    zero = [(t, k) for k in range(n + 1) for t in range(-k - n, n + 1)
+            if whittaker_value(rep, Representative(t, k, 1)) == 0]
+    # Zero rows on both sides of n/2.
+    assert {2 * k > n for _, k in zero} == {False, True}
+    for t, k in zero:
+        for bad in (Representative(t, k, p), Representative(t, k, 2 * p),
+                    Representative(t, n + 1, 1), Representative(t, -1, 1)):
+            with pytest.raises(ValueError):
+                whittaker_value(rep, bad)
+            with pytest.raises(ValueError):
+                conjugate_value(rep, bad)
+
+
+def test_zero_requests_form_no_phase(monkeypatch):
+    calls = []
+    dual = engine._dual
+    monkeypatch.setattr(engine, "_dual", lambda rep: calls.append(rep) or dual(rep))
+    family = standard_family(2, 4) + standard_family(3, 4) + standard_family(5, 3)
+    zeros = {False: 0, True: 0}
+    for rep in family:
+        n, p = rep.n, rep.p
+        for k in range(n + 1):
+            v = unit_group(p, max(min(k, n - k), 1)).units()[-1]
+            for t in range(-k - n - 1, n + 1):
+                before = len(calls)
+                value = whittaker_value(rep, Representative(t, k, v))
+                if value == 0:
+                    assert isinstance(value, mpc) and value == mpc(0)
+                    assert len(calls) == before, (rep.spec_string(), t, k)
+                    zeros[2 * k > n] += 1
+                else:
+                    # The counter sees the phase of every nonzero value above n/2.
+                    assert len(calls) == before + (2 * k > n)
+    assert min(zeros.values()) > 0
