@@ -242,7 +242,16 @@ def cmd_verify(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    values = [int(x) for x in text.split(",") if x]
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct primes, got {text!r}")
+    return values
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap_scan = sub.add_parser("scan", help="sup-norm scan over a family")
     ap_scan.add_argument("--p", type=_int_list, required=True,
                          help="comma-separated primes")
-    ap_scan.add_argument("--nmax", type=int, required=True)
+    ap_scan.add_argument("--nmax", type=_count, required=True)
     ap_scan.add_argument("--family", choices=("ps", "steinberg", "all"),
                          default="all")
     ap_scan.add_argument("--conjecture-regime", action="store_true",
@@ -291,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap_verify.add_argument("--suite", choices=("gl1", "representation", "main", "all"),
                            default="all")
     ap_verify.add_argument("--p", type=_int_list, default=[2, 3, 5])
-    ap_verify.add_argument("--amax", type=int, default=3)
-    ap_verify.add_argument("--nmax", type=int, default=3)
+    ap_verify.add_argument("--amax", type=_count, default=3)
+    ap_verify.add_argument("--nmax", type=_count, default=3)
     ap_verify.add_argument("--perturb-eps", type=float, default=0.0,
                            help="inject a relative epsilon error (harness canary)")
     ap_verify.add_argument("--out", default="-")

@@ -15,11 +15,12 @@ every coefficient off the partial fractions, a finite head plus a geometric
 tail in the Satake parameters.  Most columns of a principal series or a
 Steinberg twist have no Satake root; each is one exact term, and a level
 reads all of them at once from integer arrays over its characters
-(:func:`_level_columns`).  Coefficients are embedded at working precision
-only where something reads them, and a conductor-1 epsilon factor is kept
-as its characters until then (:class:`_Epsilons`).  :func:`sup_norm`
-screens its whole domain in complex128 first, reading each such column
-from cached complex128 copies of its root, q-power and epsilon values, and
+(:func:`_level_columns`) as exact heads, plain tuples.  Coefficients are
+embedded at working precision only where something reads them, and a
+conductor-1 epsilon factor is kept as its characters until then
+(:class:`_Epsilons`).  :func:`sup_norm` builds its levels afresh, uncached,
+and screens its whole domain in complex128 first, reading each head from
+cached complex128 copies of its root, q-power and epsilon values, and
 synthesizes at working precision only the points at or above one tie floor
 for the whole domain.
 
@@ -61,7 +62,6 @@ from .numerics import (
     ONE,
     RootOfUnity,
     ScaledRoot,
-    _scaled_complex,
     _scaled_embed,
     expand_geometric,
     perturbed,
@@ -127,65 +127,46 @@ class CoefficientTable:
 
     ``moduli``, when not None, is ``(d_lo, K, sigma, tau)`` with
     ``|c[t]| = K q^(-(sigma d + tau)/2)`` for every ``d >= d_lo``: one simple
-    partial fraction.
+    partial fraction.  ``head``, when not None, is the exact head
+    (:func:`_head_value`) of a column with no Euler factor left, whose one
+    coefficient the table holds.
 
-    Coefficients are embedded on first use, by the operations :func:`_solve`
-    would use, and kept, under ``state``, the precision and epsilon canary
-    the column was solved under, and no other.  A column with no Euler
-    factor left has a ``head`` ``(t, scalar, num, order, s, e, factor)``:
-    its one coefficient ``c[t] = scalar e(num/order) q^(-(s + e)/2)``, times
-    its numeric epsilon factors where there are any.  The 7th slot,
-    ``factor``, is None for an exact monomial; an :class:`_Epsilons` for a
-    column read from a level's arrays, whose conductor-1 factors are kept
-    as characters and formed at working precision only when the
-    coefficient is embedded; or an ``mpc`` for a head that :func:`_solve`
-    solved (an oracle's).  One simple partial fraction ``b0 w^d``,
-    ``b0 != 0``, leaves a ``fill`` ``(d_lo, d_hi)``: those degrees, all
-    nonzero, are filled by :func:`_closed_form` when one is first read."""
+    Coefficients are embedded by the operations :func:`_solve` would use.
+    One simple partial fraction ``b0 w^d``, ``b0 != 0``, leaves a ``fill``
+    ``(d_lo, d_hi)``: those degrees, all nonzero, are filled by
+    :func:`_closed_form` when one is first read, under ``state``, the
+    precision and epsilon canary the column was solved under, and no
+    other."""
 
     __slots__ = ("k", "mu", "A", "_coeffs", "tail", "parts", "moduli", "head",
                  "fill", "state")
 
-    def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict | None,
+    def __init__(self, k: int, mu: UnitCharacter, A: int, coeffs: dict,
                  tail: TailBound, parts: tuple, moduli: tuple | None = None,
                  head: tuple | None = None, fill: tuple | None = None):
         self.k, self.mu, self.A, self._coeffs = k, mu, A, coeffs
         self.tail, self.parts, self.moduli = tail, parts, moduli
         self.head, self.fill = head, fill
-        self.state = working_state() if head or fill else None
+        self.state = working_state() if fill else None
 
     @property
     def coeffs(self) -> dict:
-        if self._coeffs is None or self.fill:
+        if self.fill:
             self._embed()
         return self._coeffs
 
     def coeff(self, t: int) -> mpc:
         """The stored coefficient at ``t``, 0 if none."""
-        if self._coeffs is None or (self.fill and t + self.A >= self.fill[0]):
+        if self.fill and t + self.A >= self.fill[0]:
             self._embed()
         c = self._coeffs.get(t)
         return mpc(0) if c is None else c
 
-    def _checked(self) -> tuple:
+    def _embed(self) -> None:
         if self.state != working_state():
             raise RuntimeError(
                 f"column {format_char(self.mu)} at k={self.k} was solved at another "
                 "precision or epsilon canary; solve it again under this one")
-        return self.head
-
-    def _embed(self) -> None:
-        if self._coeffs is None:
-            t, scalar, num, order, s, e, factor = self._checked()
-            q = self.tail.q
-            if factor is None:
-                self._coeffs = {t: scalar * _scaled_embed(num, order, q, s + e)}
-            else:
-                approx = factor.value() if isinstance(factor, _Epsilons) else factor
-                self._coeffs = {t: scalar * _scaled_embed(num, order, q, s)
-                                * approx * q_power(q, e)}
-            return
-        self._checked()
         d_lo, d_hi = self.fill
         for d, c in enumerate(_closed_form(self.parts, d_lo, d_hi), d_lo):
             self._coeffs[d - self.A] = c
@@ -193,8 +174,6 @@ class CoefficientTable:
 
     def support(self) -> list:
         """The ``t`` of the nonzero coefficients, read without embedding."""
-        if self._coeffs is None:
-            return [self.head[0]]
         live = [t for t, c in self._coeffs.items() if c]
         if self.fill:
             live.extend(range(self.fill[0] - self.A, self.fill[1] - self.A + 1))
@@ -206,27 +185,15 @@ class CoefficientTable:
         return self.coeff(t)
 
     def modulus(self, t: int) -> mpf:
-        """``|c[t]|``: exact for a monomial head, read off ``moduli`` where
-        they cover ``t``, else ``abs(coeff(t))``."""
-        if self.head and self.head[6] is None:
-            _, scalar, _, _, s, e, _ = self._checked()
-            return abs(scalar) * q_power(self.tail.q, s + e)
+        """``|c[t]|``: read off ``moduli`` where they cover ``t``, else
+        ``abs(coeff(t))``."""
         if self.moduli is not None and t + self.A >= self.moduli[0]:
             _, K, sigma, tau = self.moduli
             return K * q_power(self.tail.q, sigma * (t + self.A) + tau)
         return abs(self.coeff(t))
 
     def complex128(self, t: int) -> complex:
-        """``c[t]`` in complex128, for :func:`_screen`.  A head's is the
-        cached complex128 copy of its embedded root and q-power times its
-        float rational, times :meth:`_Epsilons.complex128` where it has
-        conductor-1 factors, so nothing is embedded; any other column's is
-        ``complex(coeff(t))``."""
-        if self.head:
-            _, scalar, num, order, s, e, factor = self._checked()
-            if factor is None or isinstance(factor, _Epsilons):
-                z = _scaled_complex(num, order, self.tail.q, s + e) * float(scalar)
-                return z if factor is None else z * factor.complex128()
+        """``c[t]`` in complex128, for :func:`_screen`."""
         return complex(self.coeff(t))
 
     def __repr__(self):
@@ -303,8 +270,43 @@ def _closed_form(parts, d_lo: int, d_hi: int) -> list:
 
 
 @working_cache(maxsize=256)
-def _rational(num: int, den: int) -> mpf:
-    return mpf(num) / den
+def _scalar(rational: tuple) -> mpf:
+    """``num/den`` of ``rational = (num, den, count)``, :func:`perturbed` by
+    ``count`` ramified epsilon factors."""
+    return perturbed(mpf(rational[0]) / rational[1], rational[2])
+
+
+@working_cache(maxsize=4096)
+def _monomial(rational: tuple, num: int, order: int, q: int, s: int) -> tuple:
+    """A monomial ``scalar e(num/order) q^(-s/2)``, its exact modulus, and its
+    complex128 copy, from the embedded root and q-power converted once."""
+    r, z = _scalar(rational), _scaled_embed(num, order, q, s)
+    return r * z, abs(r) * q_power(q, s), complex(z) * float(r)
+
+
+def _head_value(head: tuple, q: int) -> mpc:
+    """The one coefficient ``scalar e(num/order) q^(-(s + e)/2) factor`` of
+    a column with no Euler factor left, from its exact head ``(t, rational,
+    num, order, s, e, factor)``; ``factor`` is None for an exact monomial,
+    an :class:`_Epsilons` for a head read from a level's arrays (its
+    conductor-1 factors formed here), or an ``mpc`` for an oracle's."""
+    _, rational, num, order, s, e, factor = head
+    if factor is None:
+        return _monomial(rational, num, order, q, s + e)[0]
+    approx = factor.value() if isinstance(factor, _Epsilons) else factor
+    return _scalar(rational) * _scaled_embed(num, order, q, s) * approx * q_power(q, e)
+
+
+def _head_table(k: int, mu: UnitCharacter, head: tuple, p: int,
+                window: int) -> CoefficientTable:
+    """The column of ``head``, its coefficient embedded."""
+    t, A = head[0], head[5] - head[0]
+    return CoefficientTable(k, mu, A, {t: _head_value(head, p)},
+                            _no_tail(window + A, A, p), (), None, head)
+
+
+def _zero_table(k: int, mu: UnitCharacter, p: int) -> CoefficientTable:
+    return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, p), ())
 
 
 _ZERO = mpf(0)
@@ -328,12 +330,13 @@ def coefficient_table(rep: Representation, k: int, mu: UnitCharacter, *,
     if not 0 <= k <= rep.n:
         raise ValueError(f"level k={k} outside [0, {rep.n}]")
     if mu.conductor > k:
-        return CoefficientTable(k, mu, 0, {}, _no_tail(-10**9, 0, rep.p), ())
+        return _zero_table(k, mu, rep.p)
     if arrays and not isinstance(rep, SupercuspidalOracle):
         i = characters_mod(rep.p, k).index(mu)
-        column = _level_columns(rep, k, (i,)).get(i)
-        if column is not None:
-            return column
+        heads = _level_columns(rep, k, (i,))
+        if i in heads:
+            return (_zero_table(k, mu, rep.p) if heads[i] is None
+                    else _head_table(k, mu, heads[i], rep.p, _window(rep)))
     return _solve(rep, k, mu, rep.twist_data(mu))
 
 
@@ -396,7 +399,7 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
             num = 0
 
     if not num:
-        return CoefficientTable(k, mu, td.A, {}, _no_tail(-10**9, td.A, p), ())
+        return _zero_table(k, mu, p)
 
     roots = list(td.l_num)
     for c in list(duals):
@@ -413,14 +416,14 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
         ramified -= td.ramified
     else:
         approx = 1 / td.eps if approx is None else approx / td.eps
-    scalar = perturbed(_rational(num, den), ramified)
     A = td.A
-    d_last = _window(rep) + A
     if not duals and not roots:
         # No Euler factor left: theta_e q^(-e/2) is the whole column.
-        head = (e - A, scalar, root.root.num, root.root.order, root.s, e, approx)
-        return CoefficientTable(k, mu, A, None, _no_tail(d_last, A, p), (), None, head)
-    coeff = scalar * root.embed()
+        head = (e - A, (num, den, ramified), root.root.num, root.root.order, root.s,
+                e, approx)
+        return _head_table(k, mu, head, p, _window(rep))
+    d_last = _window(rep) + A
+    coeff = _scalar((num, den, ramified)) * root.embed()
     if approx is not None:
         coeff *= approx
     # C X^e prod_j (1 - c_j X^-1), with C = coeff.
@@ -452,26 +455,28 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
         a0 += (abs(b0) + abs(b1) * d_last) * amp
         a1 += abs(b1) * amp
     tail = TailBound(a0, a1, rho, d_last, A, p)
-    return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli, None, fill)
+    return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli, fill=fill)
 
 
 def _level_columns(rep: Representation, k: int, wanted) -> dict:
-    """``{i: column}`` for the columns ``i`` in ``wanted`` of level ``k`` of a
-    principal series or Steinberg twist that have no Satake root left, read
-    from integer arrays over ``characters_mod(p, k)``
+    """``{i: head}`` for the columns ``i`` in ``wanted`` of level ``k`` of a
+    principal series or Steinberg twist that have no Satake root left, the
+    head None for a zero column, read from integer arrays over
+    ``characters_mod(p, k)``
     (:func:`~padwhit.characters.level_constants`,
     :func:`~padwhit.characters.twist_table`).  ``xi . St`` enters as
     ``xi boxplus xi``: conductor ``2 cond(xi mu)`` (1 when unramified),
     epsilon ``eps(xi mu)^2``.
 
-    The head is :func:`_solve`'s: ``zeta(1) q^(-a/2) eps(mu) X^(a - k)``
-    for ``a = cond(mu) >= 1``, times ``rho^(k - a)`` for the diagonal ratio
-    ``rho`` (here ``q^(-1/2) rho``) and zero without one unless ``a = k``;
-    for trivial ``mu``, 1 at k = 0 and ``-zeta(1)/q`` at k = 1; then the sign
-    ``omega(-1)`` and the twist's epsilon factor in the denominator.  The
-    roots of unity add as numerators over one order ``M``, and the sum is
-    reduced.  A conductor-1 epsilon factor is kept as its character in the
-    head's :class:`_Epsilons` and formed only when the coefficient is read.
+    The head (:func:`_head_value`) is :func:`_solve`'s:
+    ``zeta(1) q^(-a/2) eps(mu) X^(a - k)`` for ``a = cond(mu) >= 1``, times
+    ``rho^(k - a)`` for the diagonal ratio ``rho`` (here ``q^(-1/2) rho``)
+    and zero without one unless ``a = k``; for trivial ``mu``, 1 at k = 0
+    and ``-zeta(1)/q`` at k = 1; then the sign ``omega(-1)`` and the twist's
+    epsilon factor in the denominator.  The roots of unity add as numerators
+    over one order ``M``, and the sum is reduced.  A conductor-1 epsilon
+    factor is kept as its character in the head's :class:`_Epsilons` and
+    formed only when the coefficient is read.
     """
     p = rep.p
     ps = isinstance(rep, PrincipalSeries)
@@ -485,8 +490,8 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
     M = math.lcm(n, rho.root.order, n1, n2)
     rho_num, scale, scale1, scale2 = rho.root.num * (M // rho.root.order), M // n, M // n1, M // n2
     sign = 1 if rep.omega.at_minus_one().is_one() else -1
-    chars, window = characters_mod(p, k), _window(rep)
-    cols = {}
+    chars = characters_mod(p, k)
+    heads = {}
     for i in wanted:
         c1, c2, a = cond1[i], cond2[i], cond[i]
         A = c1 + c2 or int(not ps)  # xi mu unramified: conductor 1 for xi . St
@@ -504,7 +509,7 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
         else:
             continue  # a Satake root is left
         if not num:
-            cols[i] = CoefficientTable(k, chars[i], A, {}, _no_tail(-10**9, A, p), ())
+            heads[i] = None
             continue
         eps_mu, twists, ramified = (chars[i] if a == 1 else None), (), int(a >= 2)
         if root1[i] >= 0 and root2[i] >= 0:
@@ -515,47 +520,90 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
                       ExtendedCharacter(characters_mod(p, level2)[index2[i]], chis[1].pi_value))
         factor = _Epsilons(eps_mu, twists) if eps_mu or twists else None
         g = math.gcd(root % M, M)
-        head = (e - A, perturbed(_rational(sign * num, den), ramified), root % M // g,
-                M // g, s, e, factor)
-        cols[i] = CoefficientTable(k, chars[i], A, None, _no_tail(window + A, A, p), (),
-                                   None, head)
-    return cols
+        heads[i] = (e - A, (sign * num, den, ramified), root % M // g, M // g, s, e, factor)
+    return heads
 
 
 class Level:
     """The columns of one level k, in :func:`characters_mod` order, indexed
-    by ``t``.
+    by ``t``: ``heads`` maps those with no Euler factor left to their exact
+    heads (:func:`_head_value`), ``tables`` the other nonzero ones to their
+    tables; zero columns are in neither.
 
     ``by_t[t]`` lists the columns ``i`` with a nonzero coefficient at ``t``,
-    in column order, and ``row(t)`` their ``(i, c)``, embedded on first use
+    in column order, and ``row(t)`` their ``(i, c)``, formed on first use
     and kept; ``tails`` lists ``(i, column)`` for the columns with partial
     fractions, the only ones nonzero past ``window``.  ``solved`` counts the
-    columns :func:`coefficient_table` solved; the rest came from exact
-    arrays.
+    columns :func:`coefficient_table` solved.  ``columns`` builds every
+    column's table on first use.  Under another precision or epsilon canary
+    than ``state``, the one it was built under, a level refuses to read.
     """
 
-    __slots__ = ("columns", "by_t", "rows", "tails", "window", "solved")
+    __slots__ = ("p", "k", "chars", "heads", "tables", "by_t", "rows", "tails",
+                 "window", "solved", "state", "_columns")
 
-    def __init__(self, columns, window: int, solved: int | None = None):
-        self.columns = tuple(columns)
-        self.window = window
-        self.solved = len(self.columns) if solved is None else solved
+    def __init__(self, p: int, k: int, heads: dict, tables: dict, window: int,
+                 solved: int = 0):
+        self.p, self.k, self.chars = p, k, characters_mod(p, k)
+        self.heads, self.tables, self.window, self.solved = heads, tables, window, solved
+        self.state, self.rows, self._columns = working_state(), {}, None
         by_t: dict = {}
-        for i, tab in enumerate(self.columns):
-            for t in tab.support():
+        for i in range(len(self.chars)):
+            head = heads.get(i)
+            for t in ((head[0],) if head else tables[i].support() if i in tables else ()):
                 by_t.setdefault(t, []).append(i)
         self.by_t = {t: tuple(live) for t, live in by_t.items()}
-        self.rows: dict = {}
-        self.tails = tuple((i, tab) for i, tab in enumerate(self.columns)
-                           if tab.parts)
+        self.tails = tuple((i, tables[i]) for i in sorted(tables) if tables[i].parts)
+
+    def check(self) -> None:
+        if self.state != working_state():
+            raise RuntimeError(
+                f"level k={self.k} was built at another precision or epsilon "
+                "canary; build it again under this one")
+
+    @property
+    def columns(self) -> tuple:
+        """Every column's :class:`CoefficientTable`, a head's embedded."""
+        if self._columns is None:
+            self.check()
+            self._columns = tuple(
+                _head_table(self.k, mu, self.heads[i], self.p, self.window)
+                if i in self.heads else self.tables.get(i) or _zero_table(self.k, mu, self.p)
+                for i, mu in enumerate(self.chars))
+        return self._columns
+
+    def modulus(self, i: int, t: int) -> mpf:
+        """``|c[t,k](mu_i)|``, exact for a monomial head."""
+        head = self.heads.get(i)
+        if head is None:
+            return self.tables[i].modulus(t)
+        _, rational, num, order, s, e, factor = head
+        if factor is None:
+            return _monomial(rational, num, order, self.p, s + e)[1]
+        return abs(dict(self.row(t))[i])
+
+    def complex128(self, i: int, t: int) -> complex:
+        """``c[t,k](mu_i)`` in complex128, for :func:`_screen`.  Heads other
+        than an oracle's are read from cached complex128 copies, embedding
+        nothing."""
+        head = self.heads.get(i)
+        if head is None:
+            return self.tables[i].complex128(t)
+        _, rational, num, order, s, e, factor = head
+        if factor is None or isinstance(factor, _Epsilons):
+            z = _monomial(rational, num, order, self.p, s + e)[2]
+            return z if factor is None else z * factor.complex128()
+        return complex(_head_value(head, self.p))
 
     def row(self, t: int) -> tuple:
         """The nonzero ``(i, c[t,k](mu_i))`` at ``t <= window``."""
         row = self.rows.get(t)
         if row is None:
-            columns = self.columns
-            row = self.rows[t] = tuple((i, columns[i].coeff(t))
-                                       for i in self.by_t.get(t, ()))
+            self.check()
+            heads, tables, p = self.heads, self.tables, self.p
+            row = self.rows[t] = tuple(
+                (i, _head_value(heads[i], p) if i in heads else tables[i].coeff(t))
+                for i in self.by_t.get(t, ()))
         return row
 
     def live(self, t: int):
@@ -570,17 +618,30 @@ class Level:
         return live
 
 
-# Bounded, so that a long scan does not keep every level it ever solved; the
-# largest working set in use, ~400 descriptors of conductor <= 4 queried at
-# random points, holds about 1,200 levels.
-@working_cache(maxsize=2048)
-def tables_for_level(rep: Representation, k: int) -> Level:
-    """The :class:`Level` of every unit character of level <= k."""
+def _build_level(rep: Representation, k: int) -> Level:
+    """The :class:`Level` of every unit character of level <= k, built
+    afresh from the exact arrays and :func:`coefficient_table`."""
     chars = characters_mod(rep.p, k)
     exact = ({} if isinstance(rep, SupercuspidalOracle)
              else _level_columns(rep, k, range(len(chars))))
-    return Level([exact.get(i) or coefficient_table(rep, k, mu, arrays=False)
-                  for i, mu in enumerate(chars)], _window(rep), len(chars) - len(exact))
+    heads, tables = {i: head for i, head in exact.items() if head}, {}
+    for i, mu in enumerate(chars):
+        if i not in exact:
+            tab = coefficient_table(rep, k, mu, arrays=False)
+            if tab.head:
+                heads[i] = tab.head
+            elif tab.parts or tab.coeffs:
+                tables[i] = tab
+    return Level(rep.p, k, heads, tables, _window(rep), len(chars) - len(exact))
+
+
+# For point reads, bounded so that a long run does not keep every level it
+# built; the largest working set in use, ~400 descriptors of conductor <= 4
+# queried at random points, holds about 1,200 levels.
+@working_cache(maxsize=2048)
+def tables_for_level(rep: Representation, k: int) -> Level:
+    """The cached :class:`Level` of every unit character of level <= k."""
+    return _build_level(rep, k)
 
 
 # The contragredient's root number, the Atkin-Lehner phase's constant: for
@@ -784,7 +845,7 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     n, p = rep.n, rep.p
     t_max = _window(rep)
     tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
-    levels = [tables_for_level(rep, k) for k in range(n // 2 + 1)]
+    levels = [_build_level(rep, k) for k in range(n // 2 + 1)]
     values, screened, synthesized = _domain_values(
         [_stage(level, character_table(p, k), -k - n, t_max)
          for k, level in enumerate(levels)], tie)
@@ -801,14 +862,15 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     tail_sup = max([mpf(0), *(_tail_sup_level(level, t_max) for level in levels)])
     if log.isEnabledFor(logging.DEBUG):
         solved = sum(level.solved for level in levels)
-        columns = [tab for level in levels for tab in level.columns]
-        embedded = [tab.head[6] for tab in columns if tab.head and tab._coeffs is not None]
+        size = sum(len(level.chars) for level in levels)
+        factors = [level.heads[i][6] for level in levels for row in level.rows.values()
+                   for i, _ in row if i in level.heads]
         log.debug("sup_norm %s: %d points screened in complex128, %d synthesized "
                   "at %d bits; %d columns solved by coefficient_table, %d read "
                   "from exact arrays, %d exact heads embedded, %d conductor-1 "
                   "factors formed at working precision", rep.spec_string(),
-                  screened, synthesized, mp.prec, solved, len(columns) - solved,
-                  len(embedded), sum(isinstance(f, _Epsilons) for f in embedded))
+                  screened, synthesized, mp.prec, solved, size - solved,
+                  len(factors), sum(isinstance(f, _Epsilons) for f in factors))
     witness = next(r for value, r in cands if value >= h * tie)
     if h < 1 - tolerance:
         raise RuntimeError(f"sup-norm {h} below 1; the solver is inconsistent")
@@ -835,8 +897,8 @@ class _Stage(NamedTuple):
 def _stage(level: Level, char_values, lo: int, hi: int) -> _Stage:
     """Step one of :func:`sup_norm` for one level and its rows
     ``lo <= t <= hi``: read the single-live moduli and screen the rest.
-    ``level.columns[i]`` is the column of the character of row i of
-    ``char_values``, as :func:`tables_for_level` builds them.
+    Column i of ``level`` is that of the character of row i of
+    ``char_values``, as :func:`_build_level` builds them.
 
     Points with one live character are read off exactly, and only the first
     of a column's such rows that its ``moduli`` cover, since they fall from
@@ -845,7 +907,8 @@ def _stage(level: Level, char_values, lo: int, hi: int) -> _Stage:
     outside the float64 range leaves ``upper`` None, and every point of the
     level is synthesized.
     """
-    by_t, columns = level.by_t, level.columns
+    level.check()
+    by_t, tables = level.by_t, level.tables
     order = sorted(t for t in by_t if lo <= t <= hi)
     multi = [t for t in order if len(by_t[t]) > 1]
     # A single character: |W| is the same for every v, |c| of its column.
@@ -854,11 +917,12 @@ def _stage(level: Level, char_values, lo: int, hi: int) -> _Stage:
     single, falling = {}, set()
     for t in order:
         if len(by_t[t]) == 1 and by_t[t][0] not in falling:
-            tab = columns[by_t[t][0]]
-            single[t] = tab.modulus(t)
-            if tab.moduli and tab.moduli[2] > 0 and t + tab.A >= tab.moduli[0]:
-                falling.add(by_t[t][0])
-    screen = _screen([[(i, columns[i].complex128(t)) for i in by_t[t]]
+            i = by_t[t][0]
+            single[t] = level.modulus(i, t)
+            tab = tables.get(i)
+            if tab and tab.moduli and tab.moduli[2] > 0 and t + tab.A >= tab.moduli[0]:
+                falling.add(i)
+    screen = _screen([[(i, level.complex128(i, t)) for i in by_t[t]]
                       for t in multi], char_values[2]) if multi else None
     upper = None if screen is None else screen[0] + screen[1][:, None]
     return _Stage(level, char_values, order, single, multi, upper)
@@ -933,7 +997,7 @@ _F64_ETA = 2.0**-1074
 def _screen(multi, table):
     """complex128 values ``|sum_i c_i chi_i(v_j)|`` for the rows ``multi``
     (per t, the live ``(i, z_i)``, ``z_i`` the complex128 coefficient that
-    :meth:`CoefficientTable.complex128` gives, or an ``mpc``) and the
+    :meth:`Level.complex128` gives, or an ``mpc``) and the
     character table ``table``, with a bound per row on their distance from
     the working-precision values, or None when a coefficient is not finite
     in float64.
@@ -1033,7 +1097,7 @@ def _tail_sup_level(level: Level, t_max: int) -> mpf:
     sup = mpf(0)
     for _, tab in level.tails:
         sup += tab.tail.coeff_bound(t_max + 1)
-    return _rounded_up(sup, len(level.columns) + 7)
+    return _rounded_up(sup, len(level.chars) + 7)
 
 
 def lower_bound_witness(rep: Representation) -> Representative:

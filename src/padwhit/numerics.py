@@ -232,12 +232,6 @@ def _scaled_embed(num: int, order: int, q: int, s: int) -> mpc:
     return _embed(num, order) * q_power(q, s)
 
 
-@working_cache(maxsize=4096)
-def _scaled_complex(num: int, order: int, q: int, s: int) -> complex:
-    """:func:`_scaled_embed` converted to complex128 once."""
-    return complex(_scaled_embed(num, order, q, s))
-
-
 @dataclass(frozen=True)
 class ScaledRoot:
     """Exact number ``root * q^(-s/2)``: a root of unity times a half-integral

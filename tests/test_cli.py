@@ -297,3 +297,31 @@ def test_tmax_is_refused(capsys):
 
 def test_usage_exit_code(capsys):
     assert main(["value", "--t", "0", "--k", "0"]) == 2  # no descriptor
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "3", "--nmax", "-1"),
+    ("scan", "--p", "3,3", "--nmax", "1"),
+    ("scan", "--p", "5,2,5", "--nmax", "1"),
+    ("scan", "--p", ",", "--nmax", "1"),
+    ("verify", "--suite", "all", "--p", "3", "--amax", "2", "--nmax", "-1"),
+    ("verify", "--amax", "-1"),
+    ("verify", "--p", "2,2"),
+], ids=["nmax-negative", "p-repeated", "p-repeated-apart", "p-empty",
+        "verify-nmax-negative", "verify-amax-negative", "verify-p-repeated"])
+def test_knobs_that_cannot_be_honoured_are_usage_errors(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    # Refused with exit 2 before any descriptor is built or check run, and
+    # nothing written.
+    import padwhit.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(padwhit.cli, "run_suite", refuse)
+    monkeypatch.setattr(padwhit.cli, "standard_family", refuse)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not stdout and not out.exists()

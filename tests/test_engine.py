@@ -552,7 +552,7 @@ def test_exact_columns_match_the_solve_bit_for_bit(monkeypatch):
     # functional-equation solve of the same column, with the twists
     # multiplied by evaluating the characters: the same head bit for bit,
     # its lazy conductor-1 factor resolved to the solve's mpc, and so the
-    # same coefficient; coefficient_table returns that column.
+    # same coefficient; coefficient_table returns the column of that head.
     from padwhit import representations
 
     family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
@@ -560,10 +560,10 @@ def test_exact_columns_match_the_solve_bit_for_bit(monkeypatch):
     for rep in family:
         for k in range(rep.n + 1):
             chars = characters_mod(rep.p, k)
-            columns = engine._level_columns(rep, k, range(len(chars)))
-            built += [(rep, k, chars[i], tab) for i, tab in columns.items()]
-            assert all(coefficient_table(rep, k, chars[i]).coeffs == tab.coeffs
-                       for i, tab in columns.items())
+            for i, head in engine._level_columns(rep, k, range(len(chars))).items():
+                tab = coefficient_table(rep, k, chars[i])
+                assert tab.head == head
+                built.append((rep, k, chars[i], tab))
     monkeypatch.setattr(representations, "twisted", lambda chi, mu: chi * mu)
     kinds = {}
     for rep, k, mu, tab in built:
@@ -625,17 +625,19 @@ def test_single_live_moduli_are_the_moduli_of_the_coefficients():
     exact = 0
     for rep in family:
         for k in range(rep.n // 2 + 1):
-            for tab in tables_for_level(rep, k).columns:
-                if tab.moduli is not None:
-                    d_lo = tab.moduli[0]
-                elif tab.head is not None and tab.head[6] is None:
-                    d_lo = tab.head[0] + tab.A  # a monomial: its one degree
-                else:
+            level = tables_for_level(rep, k)
+            for i, head in level.heads.items():
+                if head[6] is None:  # a monomial: its one degree
+                    exact += 1
+                    c = dict(level.row(head[0]))[i]
+                    assert abs(level.modulus(i, head[0]) - abs(c)) <= mpf("1e-36") * abs(c)
+            for i, tab in level.tables.items():
+                if tab.moduli is None:
                     continue
                 for t, c in tab.coeffs.items():
-                    if t + tab.A >= d_lo:
+                    if t + tab.A >= tab.moduli[0]:
                         exact += 1
-                        assert abs(tab.modulus(t) - abs(c)) <= mpf("1e-36") * abs(c)
+                        assert abs(level.modulus(i, t) - abs(c)) <= mpf("1e-36") * abs(c)
     assert exact > 5000
 
 
@@ -1096,16 +1098,16 @@ def test_sup_norm_solves_only_the_newvector_levels(monkeypatch):
         raise AssertionError("sup_norm reached the contragredient")
 
     solved = []
-    tables = engine.tables_for_level
+    build = engine._build_level
 
     def record(rep, k):
         solved.append((rep, k))
-        return tables(rep, k)
+        return build(rep, k)
 
     for cls in (PrincipalSeries, SteinbergTwist, SupercuspidalOracle):
         monkeypatch.setattr(cls, "contragredient", refuse)
     monkeypatch.setattr(engine, "_dual", refuse)
-    monkeypatch.setattr(engine, "tables_for_level", record)
+    monkeypatch.setattr(engine, "_build_level", record)
     family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
     for rep in family:
         solved.clear()
@@ -1226,9 +1228,10 @@ def test_screen_falls_back_on_non_finite_coefficient():
     tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
 
     def level(coeffs):
-        level = engine.Level([engine.CoefficientTable(k, mu, 0, c, None, ())
-                              for mu, c in zip(characters_mod(p, k), coeffs)],
-                             hi)
+        level = engine.Level(p, k, {}, {i: engine.CoefficientTable(k, mu, 0, c, None, ())
+                                        for i, (mu, c) in enumerate(
+                                            zip(characters_mod(p, k), coeffs))},
+                             {}, hi)
         [entries], screened, synthesized = engine._domain_values(
             [engine._stage(level, char_values, lo, hi)], tie)
         return entries, screened, synthesized
@@ -1260,8 +1263,8 @@ def test_screen_keeps_near_ties():
         units = char_values[0]
         s = 1 - mpf("1e-12")
         level = engine.Level(
-            [engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)}, None, ())
-             for mu in characters_mod(p, k)], 1)
+            p, k, {}, {i: engine.CoefficientTable(k, mu, 0, {0: mpc(s), 1: mpc(1)}, None, ())
+                       for i, mu in enumerate(characters_mod(p, k))}, {}, 1)
         tie = 1 - engine.TIE_ULPS * mpf(2) ** -mp.prec
         [entries], screened, _ = engine._domain_values(
             [engine._stage(level, char_values, 0, 1)], tie)
@@ -1276,7 +1279,6 @@ def test_screen_keeps_near_ties():
 
 def test_sup_norm_logs_screen_counts(caplog):
     rep = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))
-    engine.tables_for_level.cache_clear()  # count this scan's embeddings only
     with caplog.at_level(logging.DEBUG, logger="padwhit"):
         sup_norm(rep)
     [msg] = [r.getMessage() for r in caplog.records
@@ -1291,21 +1293,34 @@ def test_sup_norm_logs_screen_counts(caplog):
                       r"from exact arrays, (\d+) exact heads embedded", msg)
     assert match, msg
     solved, built, embedded = map(int, match.groups())
-    levels = [tables_for_level(rep, k) for k in range(rep.n // 2 + 1)]
+    # The levels as sup_norm builds them, each afresh.
+    levels = [engine._build_level(rep, k) for k in range(rep.n // 2 + 1)]
     # Only chi2^-1 at k = 1 is solved: at k = 2 its column is zero (no
     # diagonal ratio and cond 1 < k) and is read from the arrays with the
-    # rest; only heads that reached a synthesized point are embedded.
+    # rest; only heads that reached a synthesized point or a single-live
+    # modulus are embedded.
     assert solved == sum(level.solved for level in levels) == 1
-    assert solved + built == sum(len(level.columns) for level in levels)
-    assert 0 < embedded < built
+    assert solved + built == sum(len(level.chars) for level in levels)
+    assert 0 < embedded < sum(len(level.heads) for level in levels) < built
     # Conductor-1 factors are formed only for the heads that were read at
     # working precision.
     match = re.search(r"(\d+) conductor-1 factors formed at working precision", msg)
     assert match, msg
     formed = int(match.group(1))
-    heads = sum(isinstance(tab.head[6], engine._Epsilons)
-                for level in levels for tab in level.columns if tab.head)
+    heads = sum(isinstance(head[6], engine._Epsilons)
+                for level in levels for head in level.heads.values())
     assert 0 < formed < heads
+
+
+def test_sup_norm_leaves_the_level_cache_alone():
+    # sup_norm reads each level once and builds it afresh: the cache that
+    # point values read neither gains nor loses an entry, hit or miss.
+    reps = standard_family(3, 4)[:20]
+    whittaker_value(reps[0], Representative(-2, 1, 1))  # one cached level
+    before = engine.tables_for_level.cache_info()
+    for rep in reps:
+        sup_norm(rep)
+    assert engine.tables_for_level.cache_info() == before
 
 
 def test_sup_norm_logs_why_not_certified(caplog, monkeypatch):
