@@ -8,14 +8,15 @@ subgroup.  For each level ``k`` and unit character ``mu`` the function
 ``v -> W(g(t,k,v))`` has a Fourier coefficient ``c[t,k](mu)``, and the local
 functional equation pins the generating function of ``t -> c[t,k](mu)`` as an
 explicit rational function of X = q^-s: a numerator of at most three terms
-over at most two linear Euler factors.  The solver builds that function in
-closed form (the diagonal data is finite plus geometric, with the geometric
-part cancelling exactly against the matching dual Euler factor) and reads
-every coefficient off the partial fractions, a finite head plus a geometric
-tail in the Satake parameters.  Most columns of a principal series or a
-Steinberg twist have no Satake root; each is one exact term, and a level
-reads all of them at once from integer arrays over its characters
-(:func:`_level_columns`) as exact heads, plain tuples.  Coefficients are
+over at most two linear Euler factors.  A level derives the numerator of
+every column at once, from integer arrays over its characters
+(:func:`_level_columns`; the diagonal data is finite plus geometric, with
+the geometric part cancelling exactly against the matching dual Euler
+factor).  Most columns of a principal series or a Steinberg twist have no
+Satake root left; each is one exact term, kept as an exact head, a plain
+tuple.  :func:`_expand` finishes the others, and an oracle's, from the
+twist data, reading every coefficient off the partial fractions, a finite
+head plus a geometric tail in the Satake parameters.  Coefficients are
 embedded at working precision only where something reads them, and a
 conductor-1 epsilon factor is kept as its characters until then
 (:class:`_Epsilons`).  :func:`sup_norm` builds its levels afresh, uncached,
@@ -51,7 +52,6 @@ from .characters import (
     characters_mod,
     critical_unit,
     epsilon_factor,
-    epsilon_root,
     format_char,
     level_constants,
     twist_table,
@@ -131,7 +131,7 @@ class CoefficientTable:
     (:func:`_head_value`) of a column with no Euler factor left, whose one
     coefficient the table holds.
 
-    Coefficients are embedded by the operations :func:`_solve` would use.
+    Coefficients are embedded by the operations :func:`_expand` uses.
     One simple partial fraction ``b0 w^d``, ``b0 != 0``, leaves a ``fill``
     ``(d_lo, d_hi)``: those degrees, all nonzero, are filled by
     :func:`_closed_form` when one is first read, under ``state``, the
@@ -212,7 +212,7 @@ class _Epsilons:
     twists: tuple
 
     def value(self) -> mpc:
-        """The factor at working precision, by :func:`_solve`'s operations
+        """The factor at working precision, by :func:`_expand`'s operations
         in its order, so bit for bit its ``approx``."""
         approx = None if self.mu is None else epsilon_factor(self.mu)
         if self.twists:
@@ -318,39 +318,36 @@ def _no_tail(d_from: int, A: int, p: int) -> TailBound:
     return TailBound(_ZERO, _ZERO, _ZERO, d_from, A, p)
 
 
-def coefficient_table(rep: Representation, k: int, mu: UnitCharacter, *,
-                      arrays: bool = True) -> CoefficientTable:
-    """The column (k, mu).  Columns with cond(mu) > k are identically zero
-    and come back empty.  A column of a principal series or Steinberg twist
-    with no Satake root is read from its level's exact arrays
-    (:func:`_level_columns`), by the code that builds the level; the others
-    are solved by :func:`_solve`.  ``arrays=False`` goes to :func:`_solve`
-    without looking: :func:`tables_for_level` passes it for the columns its
-    arrays have already left out."""
+def coefficient_table(rep: Representation, k: int, mu: UnitCharacter) -> CoefficientTable:
+    """The column (k, mu), one index of the level builder
+    (:func:`_level_columns`): a head or a zero column as its level reads
+    it, any other column expanded by :func:`_expand`.  Columns with
+    cond(mu) > k are identically zero and come back empty."""
     if not 0 <= k <= rep.n:
         raise ValueError(f"level k={k} outside [0, {rep.n}]")
     if mu.conductor > k:
         return _zero_table(k, mu, rep.p)
-    if arrays and not isinstance(rep, SupercuspidalOracle):
-        i = characters_mod(rep.p, k).index(mu)
-        heads = _level_columns(rep, k, (i,))
-        if i in heads:
-            return (_zero_table(k, mu, rep.p) if heads[i] is None
-                    else _head_table(k, mu, heads[i], rep.p, _window(rep)))
-    return _solve(rep, k, mu, rep.twist_data(mu))
+    i = characters_mod(rep.p, k).index(mu)
+    heads, numerators = _level_columns(rep, k, (i,))
+    if i in numerators:
+        return _expand(rep, k, mu, numerators[i], rep.twist_data(mu))
+    return (_zero_table(k, mu, rep.p) if heads[i] is None
+            else _head_table(k, mu, heads[i], rep.p, _window(rep)))
 
 
-def _solve(rep: Representation, k: int, mu: UnitCharacter,
-           td: TwistData) -> CoefficientTable:
-    """Solve the functional-equation identity for the column (k, mu), from
-    the twist data ``td`` of ``rep`` and its exact diagonal ratio (None for a
-    diagonal supported at t = 0).
+def _expand(rep: Representation, k: int, mu: UnitCharacter, numerator: tuple,
+            td: TwistData) -> CoefficientTable:
+    """The column (k, mu) from its numerator ``C X^e``
+    (:func:`_level_columns`) and the twist data ``td`` of ``rep``.
 
     The generating function of ``d -> c[d - A, k](mu) q^(d/2)`` is
     ``C X^e prod_j (1 - c_j X^-1) / prod_i (1 - a_i X)``: the ``c_j`` are the
-    dual Euler roots and the ``a_i`` the Satake parameters.  A dual factor
-    with ``c_j a_i = 1`` cancels its Euler factor to ``-c_j X^-1``, an exact
-    decision on :class:`ScaledRoot` values.
+    dual Euler roots and the ``a_i`` the Satake parameters.  The dual root
+    equal to the numerator's diagonal root ``rho``, an exact decision on
+    :class:`ScaledRoot` values, is replaced by ``q rho`` from k = 1 on.  No
+    dual factor left cancels an Euler factor: the one that can, ``q rho``
+    against ``chi2``'s root, cancels in the arrays, and every other dual
+    root differs from an inverse Satake root in its power of q.
 
     ``C`` is kept as ``num/den`` times an exact :class:`ScaledRoot` times a
     numeric factor, which is there only when ``mu`` or the twist has an
@@ -360,57 +357,19 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
     ``(1 + delta)^-1`` per one in the denominator.
     """
     p = rep.p
-    ratio = rep.diagonal_ratio()
-    duals = [g.shift(2) for g in td.l_den]
-    approx = None
-    ramified = 0
-    root = ScaledRoot(ONE, p)
-    if mu.is_trivial() and ratio is None:
-        # 1 at k = 0; -zeta(1)/q = -1/(p - 1) at k = 1.
-        (num, den), e = {0: (1, 1), 1: (-1, p - 1)}.get(k, (0, 1)), 0
-    elif mu.is_trivial():
-        # The diagonal's geometric tail cancels the dual Euler factor with
-        # root rho; as 1 + zeta(1)/q = zeta(1), the finite head and that tail
-        # sum to -(zeta(1)/q) rho^(k-1) X^(1-k) (1 - q rho X^-1) for k >= 1.
-        rho = ratio.shift(1)
+    (num, den, ramified), root, e, eps_mu, rho = numerator
+    approx = None if eps_mu is None else epsilon_factor(eps_mu)
+    duals, roots = [g.shift(2) for g in td.l_den], td.l_num
+    if rho is not None:
         matches = [i for i, c in enumerate(duals) if c == rho]
         if len(matches) != 1:
             raise RuntimeError(
                 "no dual Euler factor cancels the geometric diagonal tail"
             )
         del duals[matches[0]]
-        num, den, e = 1, 1, 0
         if k >= 1:
-            num, den, root, e = -1, p - 1, rho ** (k - 1), 1 - k
             duals.append(rho.shift(-2))
-    else:
-        # zeta(1) q^(-a/2) eps(mu), with zeta(1) = p/(p - 1).
-        a_star = k - mu.conductor
-        num, den, e = p, p - 1, -a_star
-        eps_mu = epsilon_root(mu)
-        if eps_mu is None:
-            eps_mu, approx = ONE, epsilon_factor(mu)
-        else:
-            ramified = 1
-        root = ScaledRoot(eps_mu, p, mu.conductor)
-        if ratio is not None:
-            root = root * ratio.shift(1) ** a_star
-        elif a_star != 0:
-            num = 0
-
-    if not num:
-        return _zero_table(k, mu, p)
-
-    roots = list(td.l_num)
-    for c in list(duals):
-        if c.inverse() in roots:
-            roots.remove(c.inverse())
-            duals.remove(c)
-            num, root = -num, root * c
-            e -= 1
-    # The sign omega(-1) over the twist's epsilon factor.
-    if not rep.omega.at_minus_one().is_one():
-        num = -num
+    # Over the twist's epsilon factor.
     if td.root is not None:
         root = root * ScaledRoot(td.root.inverse(), p)
         ramified -= td.ramified
@@ -432,7 +391,7 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
         terms[e - 1] = -coeff * sum((c.embed() for c in duals), mpc(0))
     if len(duals) == 2:
         terms[e - 2] = coeff * (duals[0] * duals[1]).embed()
-    head, parts = expand_geometric(terms, tuple(roots))
+    head, parts = expand_geometric(terms, roots)
     coeffs = {d - A: c * q_power(p, d) for d, c in head.items()}
     # Past the head, theta_d q^(-d/2) = sum (b0 + b1 d) w^d, w = a q^(-1/2).
     parts_w = tuple((b0, b1, a.shift(1)) for b0, b1, a in parts)
@@ -447,7 +406,7 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
         for d, c in enumerate(_closed_form(parts_w, e + 1, d_last), e + 1):
             if c:
                 coeffs[d - A] = c
-    # The roots left after the cancellation; none: an identically zero tail.
+    # The largest Satake root; none: an identically zero tail.
     rho = max((a.modulus() for a in roots), default=mpf(0))
     a0 = a1 = mpf(0)
     for b0, b1, a in parts:
@@ -458,60 +417,80 @@ def _solve(rep: Representation, k: int, mu: UnitCharacter,
     return CoefficientTable(k, mu, A, coeffs, tail, parts_w, moduli, fill=fill)
 
 
-def _level_columns(rep: Representation, k: int, wanted) -> dict:
-    """``{i: head}`` for the columns ``i`` in ``wanted`` of level ``k`` of a
-    principal series or Steinberg twist that have no Satake root left, the
-    head None for a zero column, read from integer arrays over
-    ``characters_mod(p, k)``
+def _level_columns(rep: Representation, k: int, wanted) -> tuple:
+    """``(heads, numerators)`` for the columns ``i`` in ``wanted`` of level
+    ``k``, read from integer arrays over ``characters_mod(p, k)``
     (:func:`~padwhit.characters.level_constants`,
-    :func:`~padwhit.characters.twist_table`).  ``xi . St`` enters as
-    ``xi boxplus xi``: conductor ``2 cond(xi mu)`` (1 when unramified),
-    epsilon ``eps(xi mu)^2``.
+    :func:`~padwhit.characters.twist_table`): ``heads[i]`` is the exact head
+    of a column with no Euler factor left, None for a zero column, and
+    ``numerators[i]`` the numerator of a column that keeps a Satake root,
+    which :func:`_expand` finishes.  ``xi . St`` enters as ``xi boxplus
+    xi``: conductor ``2 cond(xi mu)`` (1 when unramified), epsilon
+    ``eps(xi mu)^2``.  A supercuspidal oracle has no inducing characters:
+    it enters with every twist unramified, so each of its nonzero columns
+    is a numerator, finished from its table's twist data.
 
-    The head (:func:`_head_value`) is :func:`_solve`'s:
-    ``zeta(1) q^(-a/2) eps(mu) X^(a - k)`` for ``a = cond(mu) >= 1``, times
-    ``rho^(k - a)`` for the diagonal ratio ``rho`` (here ``q^(-1/2) rho``)
-    and zero without one unless ``a = k``; for trivial ``mu``, 1 at k = 0
-    and ``-zeta(1)/q`` at k = 1; then the sign ``omega(-1)`` and the twist's
-    epsilon factor in the denominator.  The roots of unity add as numerators
+    The numerator is ``zeta(1) q^(-a/2) eps(mu) X^(a - k)`` for
+    ``a = cond(mu) >= 1``, times ``rho^(k - a)`` for the diagonal ratio
+    ``rho`` (here ``q^(-1/2) rho``) and zero without one unless ``a = k``;
+    for trivial ``mu``, 1 at k = 0 and ``-zeta(1)/q`` at k = 1 without a
+    ratio, and with one ``-(zeta(1)/q) rho^(k-1) X^(1-k)`` for k >= 1 (1 at
+    k = 0), the diagonal's finite head and geometric tail summed: the tail
+    cancels the dual Euler factor with root ``rho``, as
+    ``1 + zeta(1)/q = zeta(1)``, and leaves ``1 - q rho X^-1``.  Then the
+    sign ``omega(-1)``.  A numerator is ``((num, den, ramified), root, e,
+    eps_mu, rho)``: ``C X^e`` with ``C`` the rational times the
+    :class:`ScaledRoot` ``root`` times ``eps(eps_mu)`` for a conductor-1
+    ``eps_mu`` (else None), and ``rho`` the diagonal root of a trivial
+    ``mu`` (else None).
+
+    A head is that numerator with the one Satake root cancelled, if any,
+    over the twist's epsilon factor.  The roots of unity add as numerators
     over one order ``M``, and the sum is reduced.  A conductor-1 epsilon
     factor is kept as its character in the head's :class:`_Epsilons` and
     formed only when the coefficient is read.
     """
     p = rep.p
     ps = isinstance(rep, PrincipalSeries)
-    chis = (rep.chi1, rep.chi2) if ps else (rep.xi, rep.xi)
+    chars = characters_mod(p, k)
     cond, eps, n = level_constants(p, k)
     cond, eps = cond.tolist(), eps.tolist()
     ratio = rep.diagonal_ratio()
     rho = ScaledRoot(ONE, p) if ratio is None else ratio.shift(1)
-    (level1, index1, cond1, root1, n1), (level2, index2, cond2, root2, n2) = (
-        twist_table(chis[0], k), twist_table(chis[1], k))
+    if isinstance(rep, SupercuspidalOracle):
+        unramified = (k, None, [0] * len(chars), None, 1)
+        twist_tables = (unramified, unramified)
+    else:
+        chis = (rep.chi1, rep.chi2) if ps else (rep.xi, rep.xi)
+        twist_tables = twist_table(chis[0], k), twist_table(chis[1], k)
+    (level1, index1, cond1, root1, n1), (level2, index2, cond2, root2, n2) = twist_tables
     M = math.lcm(n, rho.root.order, n1, n2)
     rho_num, scale, scale1, scale2 = rho.root.num * (M // rho.root.order), M // n, M // n1, M // n2
     sign = 1 if rep.omega.at_minus_one().is_one() else -1
-    chars = characters_mod(p, k)
-    heads = {}
+    heads, numerators = {}, {}
     for i in wanted:
         c1, c2, a = cond1[i], cond2[i], cond[i]
-        A = c1 + c2 or int(not ps)  # xi mu unramified: conductor 1 for xi . St
-        # Without a diagonal ratio the column is zero unless a = k, whatever
-        # its Satake roots.
-        if a and ((c1 and c2) or (ratio is None and a != k)):
+        if a:
             num, den, e = (p if ratio is not None or a == k else 0), p - 1, a - k
             root, s = (eps[i] * scale if a >= 2 else 0) - e * rho_num, a - e * rho.s
-        elif not a and ratio is None:
+        elif ratio is None:
             (num, den), e, root, s = {0: (1, 1), 1: (-1, p - 1)}.get(k, (0, 1)), 0, 0, 0
-        elif not a and k and (c1 or c2):
-            # chi2's Satake root cancels against the dual factor q rho that
-            # the diagonal's tail leaves: (zeta(1)/q) rho^(k-1) (q rho) X^-k.
-            num, den, e, root, s = 1, p - 1, -k, k * rho_num, k * rho.s - 2
+        elif k:
+            num, den, e, root, s = -1, p - 1, 1 - k, (k - 1) * rho_num, (k - 1) * rho.s
         else:
-            continue  # a Satake root is left
+            num, den, e, root, s = 1, 1, 0, 0, 0
         if not num:
             heads[i] = None
             continue
-        eps_mu, twists, ramified = (chars[i] if a == 1 else None), (), int(a >= 2)
+        num, eps_mu, ramified = sign * num, (chars[i] if a == 1 else None), int(a >= 2)
+        if not (c1 and c2):  # an unramified twist: its Satake root
+            if a or ratio is None or not k or not (c1 or c2):
+                numerators[i] = ((num, den, ramified), ScaledRoot(RootOfUnity(root, M), p, s),
+                                 e, eps_mu, None if a or ratio is None else rho)
+                continue
+            # chi2's Satake root cancels the dual factor q rho: times -q rho X^-1.
+            num, e, root, s = -num, e - 1, root + rho_num, s + rho.s - 2
+        A, twists = c1 + c2 or int(not ps), ()  # xi mu unramified: conductor 1 for xi . St
         if root1[i] >= 0 and root2[i] >= 0:
             root -= root1[i] * scale1 + root2[i] * scale2
             ramified -= (c1 > 0) + (c2 > 0)
@@ -520,8 +499,8 @@ def _level_columns(rep: Representation, k: int, wanted) -> dict:
                       ExtendedCharacter(characters_mod(p, level2)[index2[i]], chis[1].pi_value))
         factor = _Epsilons(eps_mu, twists) if eps_mu or twists else None
         g = math.gcd(root % M, M)
-        heads[i] = (e - A, (sign * num, den, ramified), root % M // g, M // g, s, e, factor)
-    return heads
+        heads[i] = (e - A, (num, den, ramified), root % M // g, M // g, s, e, factor)
+    return heads, numerators
 
 
 class Level:
@@ -534,9 +513,11 @@ class Level:
     in column order, and ``row(t)`` their ``(i, c)``, formed on first use
     and kept; ``tails`` lists ``(i, column)`` for the columns with partial
     fractions, the only ones nonzero past ``window``.  ``solved`` counts the
-    columns :func:`coefficient_table` solved.  ``columns`` builds every
+    columns :func:`coefficient_table` expanded.  ``columns`` builds every
     column's table on first use.  Under another precision or epsilon canary
-    than ``state``, the one it was built under, a level refuses to read.
+    than ``state``, the one it was built under, a level refuses to form a
+    value: ``modulus`` and ``complex128`` raise, and so do ``row`` and
+    ``columns`` where they are not yet formed.
     """
 
     __slots__ = ("p", "k", "chars", "heads", "tables", "by_t", "rows", "tails",
@@ -574,6 +555,7 @@ class Level:
 
     def modulus(self, i: int, t: int) -> mpf:
         """``|c[t,k](mu_i)|``, exact for a monomial head."""
+        self.check()
         head = self.heads.get(i)
         if head is None:
             return self.tables[i].modulus(t)
@@ -586,6 +568,7 @@ class Level:
         """``c[t,k](mu_i)`` in complex128, for :func:`_screen`.  Heads other
         than an oracle's are read from cached complex128 copies, embedding
         nothing."""
+        self.check()
         head = self.heads.get(i)
         if head is None:
             return self.tables[i].complex128(t)
@@ -620,19 +603,20 @@ class Level:
 
 def _build_level(rep: Representation, k: int) -> Level:
     """The :class:`Level` of every unit character of level <= k, built
-    afresh from the exact arrays and :func:`coefficient_table`."""
+    afresh from the exact arrays; the columns that keep a Satake root, and
+    an oracle's, go through :func:`coefficient_table`."""
+    if not 0 <= k <= rep.n:
+        raise ValueError(f"level k={k} outside [0, {rep.n}]")
     chars = characters_mod(rep.p, k)
-    exact = ({} if isinstance(rep, SupercuspidalOracle)
-             else _level_columns(rep, k, range(len(chars))))
+    exact, numerators = _level_columns(rep, k, range(len(chars)))
     heads, tables = {i: head for i, head in exact.items() if head}, {}
-    for i, mu in enumerate(chars):
-        if i not in exact:
-            tab = coefficient_table(rep, k, mu, arrays=False)
-            if tab.head:
-                heads[i] = tab.head
-            elif tab.parts or tab.coeffs:
-                tables[i] = tab
-    return Level(rep.p, k, heads, tables, _window(rep), len(chars) - len(exact))
+    for i in numerators:
+        tab = coefficient_table(rep, k, chars[i])
+        if tab.head:
+            heads[i] = tab.head
+        elif tab.parts or tab.coeffs:
+            tables[i] = tab
+    return Level(rep.p, k, heads, tables, _window(rep), len(numerators))
 
 
 # For point reads, bounded so that a long run does not keep every level it
@@ -907,7 +891,6 @@ def _stage(level: Level, char_values, lo: int, hi: int) -> _Stage:
     outside the float64 range leaves ``upper`` None, and every point of the
     level is synthesized.
     """
-    level.check()
     by_t, tables = level.by_t, level.tables
     order = sorted(t for t in by_t if lo <= t <= hi)
     multi = [t for t in order if len(by_t[t]) > 1]

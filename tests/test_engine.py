@@ -50,6 +50,8 @@ from padwhit.representations import (
 )
 from padwhit.verify import synthetic_oracle
 
+import column_oracle
+
 TOL = mpf("1e-12")
 TOL_PT = mpf("1e-15")
 
@@ -548,76 +550,120 @@ def test_exact_columns_make_no_complex_division(monkeypatch):
 
 
 def test_exact_columns_match_the_solve_bit_for_bit(monkeypatch):
-    # Every column a level reads from its exact arrays against the
-    # functional-equation solve of the same column, with the twists
-    # multiplied by evaluating the characters: the same head bit for bit,
-    # its lazy conductor-1 factor resolved to the solve's mpc, and so the
-    # same coefficient; coefficient_table returns the column of that head.
+    # Every column of the family and of four oracles with ramified centres,
+    # at every k, as a level built afresh holds it, against the
+    # functional-equation solve kept in the tests, with the twists
+    # multiplied by evaluating the characters: bit for bit at 53 and 128
+    # bits, with and without the epsilon canary.  A head read from the
+    # arrays keeps its conductor-1 factor lazy; resolved, it is the solve's
+    # mpc.  coefficient_table returns the level's column.
     from padwhit import representations
 
-    family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
-    built = []
-    for rep in family:
-        for k in range(rep.n + 1):
-            chars = characters_mod(rep.p, k)
-            for i, head in engine._level_columns(rep, k, range(len(chars))).items():
-                tab = coefficient_table(rep, k, chars[i])
-                assert tab.head == head
-                built.append((rep, k, chars[i], tab))
-    monkeypatch.setattr(representations, "twisted", lambda chi, mu: chi * mu)
+    family = (standard_family(2, 6) + standard_family(3, 4) + standard_family(5, 3)
+              + standard_family(7, 2) + _oracles_with_ramified_centre())
+    levels = [(rep, k) for rep in family for k in range(rep.n + 1)]
     kinds = {}
-    for rep, k, mu, tab in built:
-        want = engine._solve(rep, k, mu, rep.twist_data(mu))
-        where = (rep.spec_string(), k, mu)
-        assert (tab.A, tab.parts) == (want.A, want.parts), where
-        assert (tab.head is None) == (want.head is None), where
-        if tab.head is not None:
-            factor = tab.head[6]
-            assert factor is None or isinstance(factor, engine._Epsilons), where
-            assert tab.head[:6] == want.head[:6], where
-            assert (None if factor is None else factor.value()) == want.head[6], where
-        assert tab.coeffs == want.coeffs, where
-        kind = "zero" if tab.head is None else "monomial" if tab.head[6] is None else "approx"
-        kinds[kind] = kinds.get(kind, 0) + 1
-    assert min(kinds.values()) > 500, kinds
+    old = get_precision()
+    try:
+        for bits, delta in ((128, 0), (128, 1e-3), (53, 0), (53, 1e-3)):
+            set_precision(bits)
+            with perturb_epsilon(delta):
+                built = [engine._build_level(rep, k).columns for rep, k in levels]
+                if (bits, delta) == (128, 0):
+                    for (rep, k), columns in zip(levels, built):
+                        for tab in columns:
+                            one = coefficient_table(rep, k, tab.mu)
+                            assert (one.A, one.parts, one.head, one.coeffs) == (
+                                tab.A, tab.parts, tab.head, tab.coeffs), (rep.spec_string(), k)
+                    built = [engine._build_level(rep, k).columns for rep, k in levels]
+                with monkeypatch.context() as m:
+                    m.setattr(representations, "twisted", lambda chi, mu: chi * mu)
+                    for (rep, k), columns in zip(levels, built):
+                        for tab in columns:
+                            mu = tab.mu
+                            kind = ("fill" if tab.fill else "expanded" if tab.parts
+                                    else "zero" if tab.head is None
+                                    else "monomial" if tab.head[6] is None
+                                    else "oracle" if isinstance(rep, SupercuspidalOracle)
+                                    else "lazy")
+                            kinds[kind] = kinds.get(kind, 0) + 1
+                            want = column_oracle._solve(rep, k, mu, rep.twist_data(mu))
+                            where = (rep.spec_string(), k, mu, bits, delta)
+                            assert (tab.A, tab.parts, tab.tail, tab.moduli, tab.fill) == (
+                                want.A, want.parts, want.tail, want.moduli, want.fill), where
+                            assert (tab.head is None) == (want.head is None), where
+                            if tab.head is not None:
+                                factor = tab.head[6]
+                                assert tab.head[:6] == want.head[:6], where
+                                if isinstance(factor, engine._Epsilons):
+                                    factor = factor.value()
+                                assert factor == want.head[6], where
+                            assert tab.coeffs == want.coeffs, where
+    finally:
+        set_precision(old)
+    assert min(kinds.values()) > 50 and len(kinds) == 6, kinds
 
 
 @pytest.mark.parametrize("change", ["precision", "canary"])
 def test_a_cached_level_embeds_only_under_its_own_state(change):
-    # Coefficients are embedded lazily; a level held across a change of
-    # precision or canary refuses to embed rather than mix the two states.
-    rep = PrincipalSeries(ext(3, 2, [1]), ext(3, 0, []))  # a fill at k = 0
-    other = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))  # conductor-1 twists
+    # A level held across a change of precision or canary refuses to form a
+    # value rather than mix the two states: the rows not yet formed, the
+    # moduli and complex128 copies of its monomial heads, its lazy head and
+    # its filled table, its columns and its staging for sup_norm.
+    rep = PrincipalSeries(ext(3, 3, [1]), ext(3, 2, [1]))
     engine.tables_for_level.cache_clear()
-    levels = [tables_for_level(rep, 0), tables_for_level(other, 1)]
-    # The rows with a coefficient not yet embedded: a head, or a degree of
-    # a pending fill.
-    lazy = [(level, t) for level in levels for t in sorted(level.by_t)
-            if any(tab._coeffs is None or (tab.fill and t + tab.A >= tab.fill[0])
-                   for tab in (level.columns[i] for i in level.by_t[t]))]
-    assert any(level is levels[0] for level, _ in lazy)
-    assert any(tab.head and tab.head[6] is not None for tab in levels[1].columns)
+    level = tables_for_level(rep, 2)
+    kinds = [head[6] is None for head in level.heads.values()]
+    assert sum(kinds) >= 2 and not all(kinds)  # monomial heads and a lazy one
+    assert any(tab.fill for tab in level.tables.values())
+    live = [(i, t) for t in sorted(level.by_t) for i in level.by_t[t]]
+    assert level.heads.keys() | level.tables.keys() == {i for i, _ in live}
+    stage = (level, characters.character_table(rep.p, 2), -2 - rep.n, engine._window(rep))
+    refused = "another precision or epsilon canary"
     old = get_precision()
     try:
         with perturb_epsilon(1e-3 if change == "canary" else 0):
             set_precision(53 if change == "precision" else old)
-            for level, t in lazy:
-                with pytest.raises(RuntimeError, match="another precision or epsilon canary"):
+            for t in level.by_t:
+                with pytest.raises(RuntimeError, match=refused):
                     level.row(t)
-            for level in levels:
-                for tab in level.columns:
-                    if tab.head and tab.head[6] is None:
-                        with pytest.raises(RuntimeError):
-                            tab.modulus(tab.head[0])
-            fresh = tables_for_level(rep, 0)
-            assert fresh is not levels[0] and fresh.row(max(fresh.by_t))
+            for i, t in live:
+                with pytest.raises(RuntimeError, match=refused):
+                    level.modulus(i, t)
+                with pytest.raises(RuntimeError, match=refused):
+                    level.complex128(i, t)
+            with pytest.raises(RuntimeError, match=refused):
+                level.columns
+            with pytest.raises(RuntimeError, match=refused):
+                engine._stage(*stage)
+            fresh = tables_for_level(rep, 2)
+            assert fresh is not level and fresh.row(max(fresh.by_t))
     finally:
         set_precision(old)
-    # Back under its own state the level embeds its own values.
-    got = [level.row(t) for level, t in lazy]
+    # Back under its own state the level reads its own values.
+    def reads(level):
+        return ([level.row(t) for t in sorted(level.by_t)],
+                [(level.modulus(i, t), level.complex128(i, t)) for i, t in live],
+                [tab.coeffs for tab in level.columns])
+
+    got = reads(level)
     engine.tables_for_level.cache_clear()
-    cold = [tables_for_level(rep, 0), tables_for_level(other, 1)]
-    assert got == [cold[levels.index(level)].row(t) for level, t in lazy]
+    assert got == reads(tables_for_level(rep, 2))
+
+
+def test_levels_outside_the_range_are_refused():
+    # A level k outside [0, n] is refused by the cached entry point and the
+    # builder under it, as by coefficient_table, whatever columns it would
+    # reach: without the check the principal series and the Steinberg twist
+    # build a level at either k, all heads.
+    for rep in (PrincipalSeries(ext(3, 1, [1]), ext(3, 1, [1])),
+                SteinbergTwist(ext(5, 1, [1])), _oracles_with_ramified_centre()[1]):
+        for k in (-1, rep.n + 1):
+            for build in (tables_for_level, engine._build_level):
+                with pytest.raises(ValueError, match=f"level k={k} outside"):
+                    build(rep, k)
+            with pytest.raises(ValueError, match=f"level k={k} outside"):
+                coefficient_table(rep, k, characters_mod(rep.p, 0)[0])
 
 
 def test_single_live_moduli_are_the_moduli_of_the_coefficients():
@@ -913,19 +959,19 @@ def _numeric_epsilon_factors(rep):
     """Solve with every epsilon factor at working precision, as the solver
     did before it carried exact roots: the numerator of every column then
     reaches ``expand_geometric``."""
-    cls, real_twist_data, real_root = type(rep), type(rep).twist_data, engine.epsilon_root
+    cls, real_twist_data, real_root = type(rep), type(rep).twist_data, column_oracle.epsilon_root
 
     def numeric(self, mu):
         td = real_twist_data(self, mu)
         return TwistData(td.A, td.l_num, td.l_den, approx=td.eps)
 
     cls.twist_data = numeric
-    engine.epsilon_root = lambda mu: None
+    column_oracle.epsilon_root = lambda mu: None
     try:
         yield
     finally:
         cls.twist_data = real_twist_data
-        engine.epsilon_root = real_root
+        column_oracle.epsilon_root = real_root
 
 
 def test_columns_match_the_recurrence():
@@ -942,7 +988,7 @@ def test_columns_match_the_recurrence():
                     # column solved with every epsilon factor numeric.
                     monomial += 1
                     with _numeric_epsilon_factors(rep):
-                        numeric = engine._solve(rep, k, mu, rep.twist_data(mu))
+                        numeric = column_oracle._solve(rep, k, mu, rep.twist_data(mu))
                     (t, c), = tab.coeffs.items()
                     assert numeric.coeffs.keys() == {t}, where
                     want = numeric.coeffs[t]

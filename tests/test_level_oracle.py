@@ -36,6 +36,8 @@ from padwhit.numerics import (
 from padwhit.representations import PrincipalSeries, SupercuspidalOracle, standard_family
 from padwhit.verify import synthetic_oracle
 
+from column_oracle import _solve
+
 
 class _OldHead:
     """A head column as a table kept it: embedded on first read, under the
@@ -142,7 +144,7 @@ class _OldLevel:
         for i, mu in enumerate(chars):
             tab = exact.get(i)
             if tab is None:
-                tab = engine._solve(rep, k, mu, rep.twist_data(mu))
+                tab = _solve(rep, k, mu, rep.twist_data(mu))
                 if tab.head is not None:  # a solved head: kept lazy, as before
                     t, (num, den, count), *rest = tab.head
                     tab = _OldHead(k, mu, tab.A, rep.p,
