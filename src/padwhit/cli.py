@@ -15,20 +15,21 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
+import textwrap
 import time
 
 from mpmath import mp, mpf
 
 from . import __version__
 from .characters import format_char, parse_unit_char
-from .engine import Representative, sup_norm, whittaker_value
+from .engine import Representative, scan_partner, sup_norm, whittaker_value
 from .numerics import perturb_epsilon, set_precision
 from .representations import (
     Representation,
@@ -150,61 +151,82 @@ def cmd_scan(args) -> int:
     if args.conjecture_regime:
         reps = [r for r in reps if 2 * r.m <= r.n + 1]
     reps.sort(key=_sort_key)
-    rows = []
-    if args.jobs > 1 and len(reps) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = [(r.spec_string(), args.timings, args.tolerance, mp.prec)
-                   for r in reps]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_row_from_spec, payload))
-    else:
-        for rep in reps:
-            rows.append(_scan_row(rep, args.timings, args.tolerance))
-    text = _render_rows(rows, args.format)
-    _write_output(args.out, text)
+    with _open_output(args.out) as fh:
+        _write_rows(fh, _scan_rows(reps, args), args.format)
     return 0
 
 
-def _scan_row_from_spec(item) -> dict:
-    spec, timings, tolerance, prec = item
+def _scan_rows(reps, args):
+    """The rows of ``reps`` in order, each once made; ``--jobs`` workers take
+    a descriptor with its scan partner (:func:`_scan_tasks`)."""
+    if args.jobs == 1 or len(reps) < 2:
+        yield from (_scan_row(rep, args.timings, args.tolerance) for rep in reps)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    tasks = _scan_tasks(reps)
+    payload = [([reps[i].spec_string() for i in task], args.timings, args.tolerance,
+                mp.prec) for task in tasks]
+    pending, first = {}, 0
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        for task, rows in zip(tasks, pool.map(_scan_rows_from_specs, payload)):
+            pending.update(zip(task, rows))
+            while first in pending:
+                yield pending.pop(first)
+                first += 1
+
+
+def _scan_tasks(reps) -> list:
+    """Indices into ``reps`` for the workers, a descriptor with its
+    :func:`scan_partner` when that is in ``reps``, by first index."""
+    where, tasks = {rep: i for i, rep in enumerate(reps)}, []
+    for i, rep in enumerate(reps):
+        j = where.get(scan_partner(rep))
+        if j is None or j > i:
+            tasks.append((i,) if j is None else (i, j))
+    return tasks
+
+
+def _scan_rows_from_specs(item) -> list:
+    specs, timings, tolerance, prec = item
     set_precision(prec)
-    kind, payload = spec.split(":", 1)
-    rep = parse_rep(kind, payload)
-    return _scan_row(rep, timings, tolerance)
+    return [_scan_row(parse_rep(*spec.split(":", 1)), timings, tolerance)
+            for spec in specs]
 
 
-def _render_rows(rows, fmt: str) -> str:
+def _write_rows(fh, rows, fmt: str) -> None:
+    """Write ``rows`` to ``fh`` as each comes, in the bytes of rendering the
+    whole CSV, or JSON document by ``json.dumps(indent=2, sort_keys=True)``."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SCAN_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=SCAN_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-        return buf.getvalue()
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": {"tool": "padwhit", "version": __version__},
-        "rows": rows,
-        "checks": [],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _write_output(path: str | None, text: str) -> None:
-    if not path or path == "-":
-        sys.stdout.write(text)
         return
-    _atomic_write(path, text)
+    doc = {"schema_version": SCHEMA_VERSION, "rows": [], "checks": [],
+           "params": {"tool": "padwhit", "version": __version__}}
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).split('"rows": []')
+    fh.write(head + '"rows": [')
+    sep = "\n"
+    for row in rows:
+        fh.write(sep + textwrap.indent(json.dumps(row, indent=2, sort_keys=True), "    "))
+        sep = ",\n"
+    fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _open_output(path: str | None):
+    """Standard output for no path or "-", else a temporary file beside
+    ``path``, renamed onto it once the block completes, removed if it fails."""
+    if not path or path == "-":
+        yield sys.stdout
+        return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".padwhit-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -230,8 +252,8 @@ def cmd_verify(args) -> int:
         "rows": [],
         "checks": manifest(reports),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_output(args.out, text)
+    with _open_output(args.out) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     failed = [r.check_id for r in reports if not r.passed]
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -292,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap_scan.add_argument("--jobs", type=int, default=1)
     ap_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     ap_scan.add_argument("--timings", action="store_true",
-                         help="fill the wall_time column (breaks byte determinism)")
+                         help="fill wall_time, each row's sup_norm call: a pair's second "
+                              "member only reads the first's scan (breaks byte determinism)")
     ap_scan.add_argument("--out", default="-")
     ap_scan.set_defaults(func=cmd_scan)
 

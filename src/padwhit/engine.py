@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -774,6 +776,7 @@ class SupNormResult:
     upper_ref: mpf
     t_max: int  # the last t scanned; the tail bound covers the rest
     tail_bound: mpf  # certified sup of |W| beyond t_max
+    ties: tuple = field(default=(), compare=False, repr=False)  # (tied point, single-live)
 
 
 def theorem_refs(rep: Representation):
@@ -785,7 +788,114 @@ def theorem_refs(rep: Representation):
 
 
 def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
-    """Certified maximum of |W| over the whole group.
+    """Certified maximum of |W| over the whole group, scanned by :func:`_scan`.
+
+    A descriptor and its contragredient have the same moduli, so one scan,
+    of the member with the smaller ``spec_string()`` (:func:`scan_partner`),
+    serves both.  The other takes its ``h``, ``certified``, tail bound,
+    ``t_max`` and references, and as witness the first, in its own
+    (k, t, dlog v) order, of the tied points mapped by ``(t, k, v) ->
+    (t, k, -v mod p^k)``, a single-live row's staying at ``units[0]``.
+    Self-dual descriptors and oracles scan themselves.  The member asked
+    first scans and leaves the scan in a bounded store, keyed by
+    ``working_state()`` and the other member, which reads it once: a result
+    depends only on the descriptor, the precision and the canary.
+
+    ``tolerance`` only guards consistency: a normalized newvector has
+    ``|W(1)| = 1``, so ``h < 1 - tolerance`` raises ``RuntimeError``.  It
+    does not enter ``certified``, which compares the tail bound with ``h``
+    by the fixed margin ``1e-12``.  A ``tolerance`` that is not a finite
+    number ``>= 0`` raises ``ValueError``.
+
+    At DEBUG level the ``padwhit`` logger says which descriptor was scanned,
+    whether by this call or before, and the store's hits and misses.
+    """
+    if not (mp.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    own, partner = _ordered(rep), scan_partner(rep)
+    if partner is None:
+        res, how, scanned = _scan(rep), "scanned", rep
+    else:
+        scanned, state = min(own, partner, key=lambda r: r.spec_string()), working_state()
+        res, how = _partners.take((state, own)), "read off the stored scan of"
+        if res is None:
+            res, how = _scan(scanned), "scanned"
+            _partners.put((state, partner), res)
+        if scanned is not own:
+            res = _mirrored(res, rep.p)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("sup_norm %s: %s %s; partner store %d hits, %d misses", rep.spec_string(),
+                  how, scanned.spec_string(), *_partners.cache_info()[:2])
+    if res.h < 1 - tolerance:
+        raise RuntimeError(f"sup-norm {res.h} below 1; the solver is inconsistent")
+    if not res.certified:
+        log.info("sup_norm %s not certified: tail_sup %s is not below "
+                 "h %s by the margin 1e-12", rep.spec_string(),
+                 mp.nstr(res.tail_bound, 17), mp.nstr(res.h, 17))
+    return res
+
+
+def _ordered(rep: Representation) -> Representation:
+    """``rep``, a principal series' equal-conductor characters in characters_mod order."""
+    if (isinstance(rep, PrincipalSeries) and rep.chi1.conductor == rep.chi2.conductor
+            and (rep.chi2.unit_part.exps, format_char(rep.chi2))
+            < (rep.chi1.unit_part.exps, format_char(rep.chi1))):
+        return PrincipalSeries(rep.chi2, rep.chi1)
+    return rep
+
+
+def scan_partner(rep: Representation) -> Representation | None:
+    """``rep``'s contragredient, ordered by :func:`_ordered`, which shares its
+    scan; None for a self-dual descriptor and an oracle."""
+    partner = None if isinstance(rep, SupercuspidalOracle) else _ordered(rep.contragredient())
+    return None if partner == _ordered(rep) else partner
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _read_once_store(maxsize: int) -> SimpleNamespace:
+    """``take(key)`` pops what ``put(key, value)`` left, else None; past
+    ``maxsize`` the oldest goes.  ``cache_info``, ``cache_clear`` as lru's."""
+    data, counts = OrderedDict(), [0, 0]  # hits, misses
+
+    def take(key):
+        value = data.pop(key, None)
+        counts[value is None] += 1
+        return value
+
+    def put(key, value) -> None:
+        data[key] = value
+        if len(data) > maxsize:
+            data.popitem(last=False)
+
+    def cache_clear() -> None:
+        data.clear()
+        counts[:] = [0, 0]
+
+    return SimpleNamespace(
+        take=take, put=put, cache_clear=cache_clear,
+        cache_info=lambda: _CacheInfo(*counts, maxsize, len(data)))
+
+
+# Each scan of a contragredient pair's first member, until the other reads
+# it.  A serial scan of p=7, n<=5 in spec order holds at most 3,895 at once.
+_partners = _read_once_store(4096)
+
+
+def _mirrored(res: SupNormResult, p: int) -> SupNormResult:
+    """``res``, the scan of one member of a contragredient pair, as the
+    other's: ``|W~(g(t,k,v))| = |W(g(t,k,-v))|`` moves each tied point of a
+    multi-live row to ``-v``, and a single-live row's, the same at every
+    unit, stays at ``units[0]``; the witness is the first in (k, t, dlog v)."""
+    ties = tuple((r if single else Representative(r.t, r.k, -r.v % p ** r.k), single)
+                 for r, single in res.ties)
+    witness = min((r for r, _ in ties), key=lambda r: (r.k, r.t, unit_group(p, r.k).index(r.v)))
+    return replace(res, witness=witness, ties=ties)
+
+
+def _scan(rep: Representation) -> SupNormResult:
+    """:func:`sup_norm` from ``rep``'s own levels, without its consistency guard.
 
     Scans the newvector's levels k <= n/2 over the complete representative
     domain; the tail certificates of the coefficient tables bound everything
@@ -814,18 +924,10 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
     ``|c~[t,k](nu)| = |c[t,k](nu^-1)|``, so the newvector's own tail bounds
     certify the levels above n/2 as well.
 
-    ``tolerance`` only guards consistency: a normalized newvector has
-    ``|W(1)| = 1``, so ``h < 1 - tolerance`` raises ``RuntimeError``.  It
-    does not enter ``certified``, which compares the tail bound with ``h``
-    by the fixed margin ``1e-12``.  A ``tolerance`` that is not a finite
-    number ``>= 0`` raises ``ValueError``.
-
     At DEBUG level the ``padwhit`` logger counts the points screened and
     synthesized, the columns solved and read from exact arrays, the heads
     embedded, and the conductor-1 factors formed at working precision.
     """
-    if not (mp.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     n, p = rep.n, rep.p
     t_max = _window(rep)
     tie = 1 - TIE_ULPS * mpf(2) ** -mp.prec
@@ -842,29 +944,24 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
                 h = value
                 threshold = h * tie
             if value >= threshold:
-                cands.append((value, Representative(t, k, v)))
+                cands.append((value, Representative(t, k, v),
+                              len(levels[k].by_t[t]) == 1))
     tail_sup = max([mpf(0), *(_tail_sup_level(level, t_max) for level in levels)])
     if log.isEnabledFor(logging.DEBUG):
         solved = sum(level.solved for level in levels)
         size = sum(len(level.chars) for level in levels)
         factors = [level.heads[i][6] for level in levels for row in level.rows.values()
                    for i, _ in row if i in level.heads]
-        log.debug("sup_norm %s: %d points screened in complex128, %d synthesized "
+        log.debug("scan of %s: %d points screened in complex128, %d synthesized "
                   "at %d bits; %d columns solved by coefficient_table, %d read "
                   "from exact arrays, %d exact heads embedded, %d conductor-1 "
                   "factors formed at working precision", rep.spec_string(),
                   screened, synthesized, mp.prec, solved, size - solved,
                   len(factors), sum(isinstance(f, _Epsilons) for f in factors))
-    witness = next(r for value, r in cands if value >= h * tie)
-    if h < 1 - tolerance:
-        raise RuntimeError(f"sup-norm {h} below 1; the solver is inconsistent")
+    ties = tuple((r, single) for value, r, single in cands if value >= h * tie)
     certified = tail_sup < h * (1 - mpf("1e-12"))
-    if not certified:
-        log.info("sup_norm %s not certified: tail_sup %s is not below "
-                 "h %s by the margin 1e-12", rep.spec_string(),
-                 mp.nstr(tail_sup, 17), mp.nstr(h, 17))
     lower, upper = theorem_refs(rep)
-    return SupNormResult(h, witness, certified, lower, upper, t_max, tail_sup)
+    return SupNormResult(h, ties[0][0], certified, lower, upper, t_max, tail_sup, ties)
 
 
 class _Stage(NamedTuple):

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+from padwhit import cli
 from padwhit.cli import main
-from padwhit.representations import dump_oracle
+from padwhit.engine import scan_partner
+from padwhit.representations import dump_oracle, standard_family
 from padwhit.verify import synthetic_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +172,69 @@ def test_scan_jobs_two_exponent_characters(tmp_path, capsys):
                          "--family", "ps", "--jobs", "2", "--out", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_jobs_shard_by_contragredient_pair(tmp_path, capsys):
+    # A pair's members lie apart in spec order, so one descriptor per task
+    # would split them; each task holds both, and the bytes are serial's.
+    reps = sorted(standard_family(3, 3) + standard_family(5, 3), key=cli._sort_key)
+    tasks = cli._scan_tasks(reps)
+    assert sorted(i for task in tasks for i in task) == list(range(len(reps)))
+    assert [task[0] for task in tasks] == sorted(task[0] for task in tasks)
+    pairs = [task for task in tasks if len(task) == 2]
+    assert all(scan_partner(reps[i]) == reps[j] for i, j in pairs)
+    assert all(scan_partner(reps[task[0]]) is None for task in tasks if len(task) == 1)
+    assert sum(j - i > 1 for i, j in pairs) > 10
+    for fmt in ("csv", "json"):
+        out1, out2 = tmp_path / f"s1.{fmt}", tmp_path / f"s2.{fmt}"
+        for out, jobs in ((out1, "1"), (out2, "2")):
+            code, _, _ = run_cli(capsys, "scan", "--p", "3,5", "--nmax", "3",
+                                 "--format", fmt, "--jobs", jobs, "--out", str(out))
+            assert code == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_streams_rows_and_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    # Rows reach the output as they are made; a failure part way leaves the
+    # rows before it on standard output and no file at all at --out.
+    real, made = cli._scan_row, []
+
+    def third_fails(rep, timings, tolerance):
+        if len(made) == 2:
+            raise RuntimeError("planted failure")
+        made.append(rep)
+        return real(rep, timings, tolerance)
+
+    monkeypatch.setattr(cli, "_scan_row", third_fails)
+    code, out, err = run_cli(capsys, "scan", "--p", "3", "--nmax", "2")
+    assert code == 1 and "planted failure" in err
+    assert len(out.splitlines()) == 3  # the header and two rows
+    made.clear()
+    code, _, _ = run_cli(capsys, "scan", "--p", "3", "--nmax", "2", "--format",
+                         "json", "--out", str(tmp_path / "rows.json"))
+    assert code == 1 and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("nmax", ["0", "2"])
+def test_streamed_rows_equal_the_rendered_document(capsys, monkeypatch, fmt, nmax):
+    # The streamed bytes are those of rendering every row at once.
+    rows = []
+    real = cli._scan_row
+    monkeypatch.setattr(cli, "_scan_row", lambda *args: rows.append(real(*args)) or rows[-1])
+    code, out, _ = run_cli(capsys, "scan", "--p", "3", "--nmax", nmax, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        doc = {"schema_version": cli.SCHEMA_VERSION,
+               "params": {"tool": "padwhit", "version": cli.__version__},
+               "rows": rows, "checks": []}
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=cli.SCAN_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert out == buf.getvalue()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

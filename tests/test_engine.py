@@ -6,8 +6,10 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -748,7 +750,7 @@ def test_default_routes_build_no_contragredient(monkeypatch):
                 continue
             _, _, r = reduce_matrix(rep, Mat2.from_rationals(p, entries))
             whittaker_value(rep, r)
-        sup_norm(rep)
+        engine._scan(rep)  # sup_norm itself may scan the contragredient pair
         spec = rep.spec_string()
         assert {k for _, k in read} == set(range(n // 2 + 1)), spec
         assert all(fam is rep for fam, _ in read), spec
@@ -1101,7 +1103,7 @@ def test_sup_norm_screen_matches_exhaustive_oracle(bits):
     try:
         set_precision(bits)
         for rep in SCREEN_FAMILY:
-            got = sup_norm(rep)
+            got = engine._scan(rep)
             h, witness, certified, tail = _exhaustive_sup_norm_oracle(rep, (rep,))
             spec = rep.spec_string()
             assert got.h == h, spec
@@ -1139,6 +1141,184 @@ def test_sup_norm_matches_the_scan_of_both_families(bits):
         set_precision(old)
 
 
+PAIR_FAMILY = standard_family(2, 6) + standard_family(3, 6) + standard_family(5, 4)
+PAIR_STATES = [(bits, delta) for bits in (53, 64, 128) for delta in (0.0, 1e-3)]
+
+
+def _pair_sample(step):
+    """Every ``step``-th descriptor of PAIR_FAMILY, each with its partner."""
+    out = []
+    for rep in PAIR_FAMILY[::step]:
+        for r in (rep, engine.scan_partner(rep)):
+            if r is not None and r not in out:
+                out.append(r)
+    return out
+
+
+@contextmanager
+def _state(bits, delta):
+    old = get_precision()
+    set_precision(bits)
+    try:
+        with perturb_epsilon(delta):
+            yield
+    finally:
+        set_precision(old)
+
+
+def _cold(rep):
+    # The canary can move h below 1, past the consistency guard.
+    engine._partners.cache_clear()
+    return sup_norm(rep, tolerance=mpf(1))
+
+
+def _first_mapped(rep, scanned):
+    """The first, in ``rep``'s (k, t, dlog v) order, of the tied points of
+    ``scanned``, the partner's scan, mapped to ``rep``: ``-v`` on a row with
+    two or more live characters, ``units[0]`` on a single-live row."""
+    p, mapped = rep.p, []
+    for r, single in scanned.ties:
+        units = unit_group(p, r.k).units()
+        v = units[0] if single else (-r.v) % p ** r.k
+        mapped.append((r.k, r.t, units.index(v), v))
+    k, t, _, v = min(mapped)
+    return Representative(t, k, v)
+
+
+def _pair_mismatches(reps):
+    """Where a pair's results break the pair rule or the witness rule, each
+    descriptor's result taken with the partner store cleared."""
+    cold, bad = {rep: _cold(rep) for rep in reps}, []
+    for rep in reps:
+        spec, got, partner = rep.spec_string(), cold[rep], engine.scan_partner(rep)
+        scanned = engine._scan(min(rep, partner or rep, key=lambda r: r.spec_string()))
+        fields = (got.h, got.certified, got.tail_bound, got.t_max, got.lower_ref)
+        if fields != (scanned.h, scanned.certified, scanned.tail_bound,
+                      scanned.t_max, scanned.lower_ref):
+            bad.append((spec, "fields"))
+        if partner is not None and partner in cold and fields[:3] != (
+                cold[partner].h, cold[partner].certified, cold[partner].tail_bound):
+            bad.append((spec, "pair"))
+        derived = partner is not None and partner.spec_string() < spec
+        want = _first_mapped(rep, scanned) if derived else scanned.witness
+        if got.witness != want:
+            bad.append((spec, "witness"))
+        value = abs(whittaker_value(rep, got.witness))
+        if abs(value - got.h) > engine.TIE_ULPS * mpf(2) ** -mp.prec * got.h:
+            bad.append((spec, "value"))
+    return bad
+
+
+@pytest.mark.parametrize("bits,delta", PAIR_STATES)
+def test_pair_members_share_one_scan(bits, delta):
+    # Both members of a contragredient pair read h, certified and the tail
+    # bound off one scan, bit for bit; the derived witness is the first
+    # mapped tied point, and |W| there ties with h.
+    reps = _pair_sample(9)
+    with _state(bits, delta):
+        assert sum(engine.scan_partner(rep) is not None for rep in reps) > 200
+        assert _pair_mismatches(reps) == []
+
+
+def test_a_derived_witness_mapped_v_to_v_fails(monkeypatch):
+    # Planted: tied points of the partner's scan kept at v instead of -v.
+    def unmapped(res, p):
+        ties = res.ties
+        return replace(res, witness=min(
+            (r for r, _ in ties), key=lambda r: (r.k, r.t, unit_group(p, r.k).index(r.v))))
+
+    monkeypatch.setattr(engine, "_mirrored", unmapped)
+    assert any(kind == "witness" for _, kind in _pair_mismatches(_pair_sample(9)))
+
+
+def _history_mismatches(reps, seed):
+    """Where a result depends on what was called before: every (descriptor,
+    state) once with the store cleared, then all again, shuffled, with the
+    store kept warm."""
+    calls = [(rep, state) for rep in reps for state in PAIR_STATES]
+    cold = {}
+    for rep, state in calls:
+        with _state(*state):
+            cold[rep, state] = _cold(rep)
+    engine._partners.cache_clear()
+    random.Random(seed).shuffle(calls)
+    bad = []
+    for rep, state in calls:
+        with _state(*state):
+            got = sup_norm(rep, tolerance=mpf(1))
+        if got != cold[rep, state] or got.ties != cold[rep, state].ties:
+            bad.append((rep.spec_string(), state))
+    return bad
+
+
+def test_results_do_not_depend_on_the_partner_store():
+    before = engine._partners.cache_info()
+    assert _history_mismatches(_pair_sample(40), seed=3) == []
+    assert engine._partners.cache_info().hits > 0 and before.hits == 0
+
+
+def test_a_partner_store_keyed_without_the_canary_fails(monkeypatch):
+    # Planted: the store keyed by precision alone, so a scan made without
+    # the canary is read under it.
+    monkeypatch.setattr(engine, "working_state", lambda: (mp.prec,))
+    assert _history_mismatches(_pair_sample(40), seed=3)
+
+
+def test_self_dual_descriptors_and_oracles_scan_themselves(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the partner store was touched")
+
+    monkeypatch.setattr(engine, "_partners", SimpleNamespace(
+        take=refuse, put=refuse, cache_info=engine._partners.cache_info))
+    # The perfbench tracer self-test scans standard_family(3, 2)[0] cold.
+    assert engine.scan_partner(standard_family(3, 2)[0]) is None
+    self_dual = [rep for rep in PAIR_FAMILY if engine.scan_partner(rep) is None]
+    oracles = _oracles_with_ramified_centre() + [synthetic_oracle(5, 2, seed=9)]
+    assert len(self_dual) > 20
+    for rep in self_dual + oracles:
+        assert sup_norm(rep) == engine._scan(rep), rep.spec_string()
+
+
+def test_a_pair_builds_only_the_scanned_members_levels(monkeypatch):
+    # Whichever member asks first, sup_norm builds the levels k <= n/2 of
+    # the member with the smaller spec string, once for the pair.
+    built = []
+    build = engine._build_level
+
+    def record(rep, k):
+        built.append((rep, k))
+        return build(rep, k)
+
+    monkeypatch.setattr(engine, "_build_level", record)
+    pairs = [(rep, engine.scan_partner(rep)) for rep in standard_family(3, 5)]
+    pairs = [pair for pair in pairs if pair[1] is not None]
+    for i, (rep, partner) in enumerate(pairs):
+        first, second = (rep, partner) if i % 2 else (partner, rep)
+        scanned = min(rep, partner, key=lambda r: r.spec_string())
+        built.clear()
+        sup_norm(first)
+        assert [(r, k) for r, k in built] == [
+            (scanned, k) for k in range(rep.n // 2 + 1)], rep.spec_string()
+        built.clear()
+        sup_norm(second)
+        assert built == [], rep.spec_string()
+    assert engine._partners.cache_info().currsize == 0
+
+
+def test_sup_norm_logs_scanned_or_derived(caplog):
+    rep = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))
+    partner = engine.scan_partner(rep)
+    with caplog.at_level(logging.DEBUG, logger="padwhit"):
+        sup_norm(rep)
+        sup_norm(partner)
+    msgs = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sup_norm ")]
+    scanned = partner.spec_string()  # the smaller spec string
+    assert msgs == [
+        f"sup_norm {rep.spec_string()}: scanned {scanned}; partner store 0 hits, 1 misses",
+        f"sup_norm {scanned}: read off the stored scan of {scanned}; partner store "
+        "1 hits, 1 misses"]
+
+
 def test_sup_norm_solves_only_the_newvector_levels(monkeypatch):
     def refuse(*args):
         raise AssertionError("sup_norm reached the contragredient")
@@ -1157,7 +1337,7 @@ def test_sup_norm_solves_only_the_newvector_levels(monkeypatch):
     family = standard_family(2, 5) + standard_family(3, 4) + standard_family(5, 3)
     for rep in family:
         solved.clear()
-        sup_norm(rep)
+        engine._scan(rep)
         spec = rep.spec_string()
         assert all(fam is rep for fam, _ in solved), spec
         assert [k for _, k in solved] == list(range(rep.n // 2 + 1)), spec
@@ -1185,7 +1365,7 @@ def test_sup_norm_synthesizes_only_above_the_descriptor_floor(monkeypatch):
     for rep in standard_family(3, 5) + standard_family(5, 3):
         screens.clear()
         calls.clear()
-        floor = engine._tie_floor(sup_norm(rep).h, tie)
+        floor = engine._tie_floor(engine._scan(rep).h, tie)
         assert None not in screens, rep.spec_string()
         reach = sum(int((~(values + bounds[:, None] < floor)).sum())
                     for values, bounds in screens)
@@ -1326,7 +1506,7 @@ def test_screen_keeps_near_ties():
 def test_sup_norm_logs_screen_counts(caplog):
     rep = PrincipalSeries(ext(3, 3, [1]), ext(3, 1, [1]))
     with caplog.at_level(logging.DEBUG, logger="padwhit"):
-        sup_norm(rep)
+        engine._scan(rep)
     [msg] = [r.getMessage() for r in caplog.records
              if r.levelno == logging.DEBUG and "screened" in r.getMessage()]
     match = re.search(r"(\d+) points screened in complex128, (\d+) "
