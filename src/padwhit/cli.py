@@ -216,10 +216,10 @@ def _write_rows(fh, rows, fmt: str) -> None:
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
-    """Standard output for no path or "-", else a temporary file beside
-    ``path``, renamed onto it once the block completes, removed if it fails."""
+    """Standard output for no path or "-", else a temp file renamed onto ``path``."""
     if not path or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe raises here, inside main
         return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -350,6 +350,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader of standard output stopped, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

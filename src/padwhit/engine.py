@@ -838,8 +838,7 @@ def sup_norm(rep: Representation, tolerance=mpf("1e-9")) -> SupNormResult:
 def _ordered(rep: Representation) -> Representation:
     """``rep``, a principal series' equal-conductor characters in characters_mod order."""
     if (isinstance(rep, PrincipalSeries) and rep.chi1.conductor == rep.chi2.conductor
-            and (rep.chi2.unit_part.exps, format_char(rep.chi2))
-            < (rep.chi1.unit_part.exps, format_char(rep.chi1))):
+            and rep.chi2.unit_part.exps < rep.chi1.unit_part.exps):
         return PrincipalSeries(rep.chi2, rep.chi1)
     return rep
 
@@ -878,16 +877,14 @@ def _read_once_store(maxsize: int) -> SimpleNamespace:
         cache_info=lambda: _CacheInfo(*counts, maxsize, len(data)))
 
 
-# Each scan of a contragredient pair's first member, until the other reads
-# it.  A serial scan of p=7, n<=5 in spec order holds at most 3,895 at once.
+# A serial scan of p=7, n<=5 in spec order holds at most 3,895 open pairs.
 _partners = _read_once_store(4096)
 
 
 def _mirrored(res: SupNormResult, p: int) -> SupNormResult:
-    """``res``, the scan of one member of a contragredient pair, as the
-    other's: ``|W~(g(t,k,v))| = |W(g(t,k,-v))|`` moves each tied point of a
-    multi-live row to ``-v``, and a single-live row's, the same at every
-    unit, stays at ``units[0]``; the witness is the first in (k, t, dlog v)."""
+    """``res``, one pair member's scan, as the other's: ``|W~(g(t,k,v))| =
+    |W(g(t,k,-v))|`` moves a multi-live row's tied point to ``-v``; a single-live
+    row's stays at ``units[0]``.  The witness is the first in (k, t, dlog v)."""
     ties = tuple((r if single else Representative(r.t, r.k, -r.v % p ** r.k), single)
                  for r, single in res.ties)
     witness = min((r for r, _ in ties), key=lambda r: (r.k, r.t, unit_group(p, r.k).index(r.v)))

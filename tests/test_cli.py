@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,24 @@ def test_streamed_rows_equal_the_rendered_document(capsys, monkeypatch, fmt, nma
         writer.writeheader()
         writer.writerows(rows)
         assert out == buf.getvalue()
+
+
+def test_scan_to_a_reader_that_stops_early_exits_quietly():
+    # Rows streamed into a pipe whose reader leaves after one line, as
+    # "| head -1" does: exit 0 and nothing on stderr.  The output (~480 KB)
+    # outgrows the pipe buffer, so the writer meets the closed pipe.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padwhit.cli", "scan", "--p", "2,3,5", "--nmax", "4",
+         "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
